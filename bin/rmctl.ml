@@ -101,65 +101,6 @@ let size_t =
   Arg.(value & opt int 16
        & info [ "size" ] ~docv:"S" ~doc:"miniMD box edge s, or miniFE nx.")
 
-(* Evaluates to () after setting the process-wide domain default, so
-   commands list it like any other option; the dense candidate sweep
-   (and everything built on it: broker, scheduler) picks it up. *)
-let domains_t =
-  let set = function
-    | None -> ()
-    | Some n ->
-      if n < 1 then begin
-        Format.eprintf "--domains must be >= 1 (got %d)@." n;
-        exit 2
-      end;
-      (* set_default_domains clamps silently; surface it so the user is
-         not left believing more domains are in play than the pool
-         ceiling allows. *)
-      if n > Rm_core.Domain_pool.max_workers then
-        Format.eprintf "rmctl: --domains %d clamped to %d (pool ceiling)@." n
-          Rm_core.Domain_pool.max_workers;
-      Rm_core.Domain_pool.set_default_domains n
-  in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt (some int) None
-        & info [ "domains" ] ~docv:"N"
-            ~doc:
-              "OCaml domains for the dense per-start candidate sweep \
-               (default: $(b,RM_ALLOC_DOMAINS) or 1). Allocations are \
-               identical for every value; only the wall time changes."))
-
-(* Same shape for the start-pruning default: evaluates to () after
-   setting the process-wide Dense_alloc starts mode. *)
-let starts_t =
-  let set = function
-    | None -> ()
-    | Some s ->
-      (match Rm_core.Dense_alloc.parse_starts s with
-      | Ok st -> Rm_core.Dense_alloc.set_default_starts st
-      | Error msg ->
-        Format.eprintf "--starts: %s (got %S)@." msg s;
-        exit 2)
-  in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt (some string) None
-        & info [ "starts" ] ~docv:"K"
-            ~doc:
-              "Candidate start nodes for the network-load-aware sweep: \
-               $(b,all) (exhaustive, the default; also \
-               $(b,RM_ALLOC_STARTS)) or a positive count K to expand \
-               only the top-K starts by the O(V) CL+degree proxy score. \
-               Pruning trades a bounded score regret for an up-to-V/K \
-               speedup."))
-
-(* The two allocator knobs ride together on every command. *)
-let knobs_t = Term.(const (fun () () -> ()) $ domains_t $ starts_t)
-
 (* --- environment ------------------------------------------------------ *)
 
 let make_env ~scenario ~seed ~time =
@@ -237,12 +178,17 @@ let snapshot_cmd =
 (* --- allocate --------------------------------------------------------------- *)
 
 let allocate_cmd =
-  let run () scenario seed time procs ppn alpha policy wait =
+  let run starts scenario seed time procs ppn alpha policy wait =
     let _cluster, _sim, _world, monitor, rng = make_env ~scenario ~seed ~time in
     let snap = System.snapshot monitor ~time in
     let request = Request.make ?ppn ~alpha ~procs () in
     let config =
-      { Broker.default_config with Broker.policy; wait_threshold = wait }
+      {
+        Broker.default_config with
+        Broker.policy;
+        wait_threshold = wait;
+        starts;
+      }
     in
     Format.printf "%a via %s@." Request.pp request (Policies.name policy);
     match Broker.decide ~config ~snapshot:snap ~request ~rng with
@@ -260,19 +206,20 @@ let allocate_cmd =
              ~doc:"Recommend waiting above this mean load per core.")
   in
   Cmd.v (Cmd.info "allocate" ~doc:"Make one allocation decision.")
-    Term.(const run $ knobs_t $ scenario_t $ seed_t $ time_t $ procs_t
-          $ ppn_t $ alpha_t $ policy_t $ wait_t)
+    Term.(const run $ Serve_cmd.starts_t $ scenario_t $ seed_t $ time_t
+          $ procs_t $ ppn_t $ alpha_t $ policy_t $ wait_t)
 
 (* --- run ------------------------------------------------------------------- *)
 
 let run_cmd =
-  let run () scenario seed time procs ppn alpha policy app size use_mapping =
+  let run starts scenario seed time procs ppn alpha policy app size
+      use_mapping =
     let _cluster, _sim, world, monitor, rng = make_env ~scenario ~seed ~time in
     let snap = System.snapshot monitor ~time in
     let request = Request.make ?ppn ~alpha ~procs () in
     match
-      Policies.allocate ~policy ~snapshot:snap ~weights:Weights.paper_default
-        ~request ~rng ()
+      Policies.allocate ~starts ~policy ~snapshot:snap
+        ~weights:Weights.paper_default ~request ~rng ()
     with
     | Error e -> Format.printf "error: %a@." Allocation.pp_error e
     | Ok allocation ->
@@ -297,13 +244,13 @@ let run_cmd =
          & info [ "map" ] ~doc:"Apply Treematch-style rank mapping before running.")
   in
   Cmd.v (Cmd.info "run" ~doc:"Allocate and execute one MPI job.")
-    Term.(const run $ knobs_t $ scenario_t $ seed_t $ time_t $ procs_t
-          $ ppn_t $ alpha_t $ policy_t $ app_t $ size_t $ map_t)
+    Term.(const run $ Serve_cmd.starts_t $ scenario_t $ seed_t $ time_t
+          $ procs_t $ ppn_t $ alpha_t $ policy_t $ app_t $ size_t $ map_t)
 
 (* --- compare ----------------------------------------------------------------- *)
 
 let compare_cmd =
-  let run () scenario seed time procs ppn alpha app size =
+  let run starts scenario seed time procs ppn alpha app size =
     let _cluster, sim, world, monitor, rng = make_env ~scenario ~seed ~time in
     Format.printf "%-20s %10s %8s %10s@." "policy" "time (s)" "comm%" "load/core";
     List.iter
@@ -312,7 +259,7 @@ let compare_cmd =
         let snap = System.snapshot monitor ~time:(World.now world) in
         let request = Request.make ?ppn ~alpha ~procs () in
         match
-          Policies.allocate ~policy ~snapshot:snap
+          Policies.allocate ~starts ~policy ~snapshot:snap
             ~weights:Weights.paper_default ~request ~rng ()
         with
         | Error e -> Format.printf "%a@." Allocation.pp_error e
@@ -327,8 +274,8 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run the same job under all four policies in sequence.")
-    Term.(const run $ knobs_t $ scenario_t $ seed_t $ time_t $ procs_t
-          $ ppn_t $ alpha_t $ app_t $ size_t)
+    Term.(const run $ Serve_cmd.starts_t $ scenario_t $ seed_t $ time_t
+          $ procs_t $ ppn_t $ alpha_t $ app_t $ size_t)
 
 (* --- forecast ----------------------------------------------------------------- *)
 
@@ -454,7 +401,8 @@ let read_whole_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let explain_cmd =
-  let run () scenario seed time procs ppn alpha beta policy wait json replay =
+  let run starts scenario seed time procs ppn alpha beta policy wait json
+      replay =
     let beta = match beta with Some b -> b | None -> 1.0 -. alpha in
     match replay with
     | Some file ->
@@ -478,7 +426,12 @@ let explain_cmd =
       let snap = System.snapshot monitor ~time in
       let request = Request.make ?ppn ~alpha ~procs () in
       let config =
-        { Broker.default_config with Broker.policy; wait_threshold = wait }
+        {
+          Broker.default_config with
+          Broker.policy;
+          wait_threshold = wait;
+          starts;
+        }
       in
       (match Broker.decide ~config ~snapshot:snap ~request ~rng with
       | Error e -> Format.printf "error: %a@." Allocation.pp_error e
@@ -517,8 +470,9 @@ let explain_cmd =
           candidate's Eq. 4 score, and the chosen sub-graph's Algorithm 1 \
           growth order. With --replay, re-score a saved decision under new \
           Eq. 4 weights instead.")
-    Term.(const run $ knobs_t $ scenario_t $ seed_t $ time_t $ procs_t
-          $ ppn_t $ alpha_t $ beta_t $ policy_t $ wait_t $ json_t $ replay_t)
+    Term.(const run $ Serve_cmd.starts_t $ scenario_t $ seed_t $ time_t
+          $ procs_t $ ppn_t $ alpha_t $ beta_t $ policy_t $ wait_t $ json_t
+          $ replay_t)
 
 (* --- metrics ----------------------------------------------------------------- *)
 
@@ -529,15 +483,15 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 let metrics_cmd =
-  let run () scenario seed time procs ppn alpha policy app size trace_out
+  let run starts scenario seed time procs ppn alpha policy app size trace_out
       trace_format metrics_out =
     Telemetry.Runtime.enable ();
     let _cluster, _sim, world, monitor, rng = make_env ~scenario ~seed ~time in
     let snap = System.snapshot monitor ~time in
     let request = Request.make ?ppn ~alpha ~procs () in
     (match
-       Policies.allocate ~policy ~snapshot:snap ~weights:Weights.paper_default
-         ~request ~rng ()
+       Policies.allocate ~starts ~policy ~snapshot:snap
+         ~weights:Weights.paper_default ~request ~rng ()
      with
     | Error e -> Format.printf "error: %a@." Allocation.pp_error e
     | Ok allocation ->
@@ -585,9 +539,9 @@ let metrics_cmd =
        ~doc:
          "Run one job end to end with telemetry enabled, then dump the \
           metrics registry and trace-buffer summary.")
-    Term.(const run $ knobs_t $ scenario_t $ seed_t $ time_t $ procs_t
-          $ ppn_t $ alpha_t $ policy_t $ app_t $ size_t $ trace_out_t
-          $ trace_format_t $ metrics_out_t)
+    Term.(const run $ Serve_cmd.starts_t $ scenario_t $ seed_t $ time_t
+          $ procs_t $ ppn_t $ alpha_t $ policy_t $ app_t $ size_t
+          $ trace_out_t $ trace_format_t $ metrics_out_t)
 
 (* --- serve-metrics ------------------------------------------------------------ *)
 
@@ -656,7 +610,7 @@ let serve_metrics_cmd =
 (* --- slo ---------------------------------------------------------------------- *)
 
 let slo_cmd =
-  let run () seed jobs =
+  let run seed jobs =
     match Rm_experiments.Queue_study.run_slo ~seed ~job_count:jobs () with
     | [] ->
       print_endline
@@ -674,7 +628,7 @@ let slo_cmd =
           trace runs once per policy, and dispatch-wait p50/p90/p99 (from \
           the sched.dispatch_wait_s histogram) plus queue-depth statistics \
           are compared side by side.")
-    Term.(const run $ knobs_t $ seed_t $ jobs_t)
+    Term.(const run $ seed_t $ jobs_t)
 
 (* --- check-export ------------------------------------------------------------- *)
 
@@ -767,7 +721,7 @@ let check_export_cmd =
 let chaos_cmd =
   let module Chaos = Rm_experiments.Chaos_study in
   let module Scheduler = Rm_sched.Scheduler in
-  let run () plan_file intensity policy minutes seed jobs check show_log
+  let run plan_file intensity policy minutes seed jobs check show_log
       trace_out metrics_out =
     if trace_out <> None || metrics_out <> None then Telemetry.Runtime.enable ();
     let cluster = Cluster.iitk_reference () in
@@ -903,7 +857,7 @@ let chaos_cmd =
           switch outages, NIC degradation, daemon kills — with failure \
           detection, requeue backoff and virtual checkpointing enabled, \
           then report what the faults cost.")
-    Term.(const run $ knobs_t $ plan_t $ intensity_t $ policy_t $ minutes_t
+    Term.(const run $ plan_t $ intensity_t $ policy_t $ minutes_t
           $ seed_t
           $ jobs_t $ check_t $ log_t $ trace_out_t $ metrics_out_t)
 
@@ -911,7 +865,7 @@ let chaos_cmd =
 
 let malleable_cmd =
   let module MS = Rm_experiments.Malleable_study in
-  let run () seed jobs policy out check =
+  let run seed jobs policy out check =
     let artifact = MS.run ~seed ?job_count:jobs ~policy () in
     print_string (MS.render artifact);
     (match out with
@@ -951,12 +905,12 @@ let malleable_cmd =
           scheduler rigid vs. with grow/shrink bands, then under light node \
           churn with requeue-recovery vs. shrink-recovery, reporting \
           makespan, wait, goodput and the accepted/rejected directives.")
-    Term.(const run $ knobs_t $ seed_t $ jobs_t $ policy_t $ out_t $ check_t)
+    Term.(const run $ seed_t $ jobs_t $ policy_t $ out_t $ check_t)
 
 (* --- sched ------------------------------------------------------------------- *)
 
 let sched_cmd =
-  let run () file scenario seed policy exclusive =
+  let run starts file scenario seed policy exclusive =
     let ic = open_in file in
     let len = in_channel_length ic in
     let text = really_input_string ic len in
@@ -1008,7 +962,8 @@ let sched_cmd =
     let config =
       {
         Rm_sched.Scheduler.default_config with
-        Rm_sched.Scheduler.broker = { Broker.default_config with Broker.policy };
+        Rm_sched.Scheduler.broker =
+          { Broker.default_config with Broker.policy; starts };
         exclusive;
       }
     in
@@ -1063,8 +1018,8 @@ let sched_cmd =
   in
   Cmd.v
     (Cmd.info "sched" ~doc:"Run a job file through the batch scheduler.")
-    Term.(const run $ knobs_t $ file_t $ scenario_t $ seed_t $ policy_t
-          $ exclusive_t)
+    Term.(const run $ Serve_cmd.starts_t $ file_t $ scenario_t $ seed_t
+          $ policy_t $ exclusive_t)
 
 (* --- matrix / dashboard: the experiment matrix and its rendering --------- *)
 

@@ -105,12 +105,12 @@ let starts_arg =
   Arg.conv (parse, print)
 
 let starts_t =
-  Arg.(value & opt (some starts_arg) None
+  Arg.(value & opt starts_arg Rm_core.Dense_alloc.All
        & info [ "starts" ] ~docv:"K"
            ~doc:"Candidate start nodes for the network-load-aware sweep: \
-                 $(b,all) (exhaustive; also $(b,RM_ALLOC_STARTS)) or a \
-                 positive count K to expand only the top-K starts by the \
-                 O(V) CL+degree proxy score.")
+                 $(b,all) (exhaustive, the default) or a positive count K \
+                 to expand only the top-K starts by the O(V) CL+degree \
+                 proxy score.")
 
 let wait_threshold_t =
   Arg.(value & opt (some float) None

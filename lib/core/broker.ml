@@ -6,7 +6,7 @@ type config = {
   policy : Policies.policy;
   wait_threshold : float option;
   max_staleness_s : float;
-  starts : Dense_alloc.starts option;
+  starts : Dense_alloc.starts;
 }
 
 let default_config =
@@ -15,7 +15,7 @@ let default_config =
     policy = Policies.Network_load_aware;
     wait_threshold = None;
     max_staleness_s = infinity;
-    starts = None;
+    starts = Dense_alloc.All;
   }
 
 type decision =
@@ -102,7 +102,7 @@ let decide ~config ~snapshot ~request ~rng =
     let result =
       Result.map
         (fun allocation -> Allocated allocation)
-        (Policies.allocate_audited ?starts:config.starts ~stale_excluded:stale
+        (Policies.allocate_audited ~starts:config.starts ~stale_excluded:stale
            ~policy:config.policy ~snapshot ~weights:config.weights ~request
            ~rng ())
     in

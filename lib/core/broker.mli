@@ -18,10 +18,10 @@ type config = {
           dead or partitioned. Excluded nodes are counted in
           [core.broker.stale_excluded] and listed in the audit record.
           [infinity] (default) keeps the historical behavior *)
-  starts : Dense_alloc.starts option;
+  starts : Dense_alloc.starts;
       (** candidate-start pruning mode forwarded to
-          {!Policies.allocate_audited}; [None] (default) defers to the
-          process-wide {!Dense_alloc.default_starts} knob *)
+          {!Policies.allocate_audited}; [All] (default) is the
+          exhaustive sweep *)
 }
 
 val default_config : config

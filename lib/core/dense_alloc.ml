@@ -19,8 +19,9 @@
      of hashtable-indexed pair walks;
    - the V starts are independent greedy expansions over read-only
      inputs (Algorithm 1 grows one candidate per start), so they are
-     swept in parallel across OCaml domains: contiguous chunks of
-     starts go to a reusable {!Domain_pool}, each worker ranks its
+     swept in parallel across OCaml domains: workers of a reusable
+     {!Domain_pool} claim small contiguous blocks of starts from a
+     shared counter, each worker ranks its
      starts with private scratch buffers, and results land at
      per-start slots of one output array — merged in ascending start
      order, Eq. 4 normalization and the argmin (ties included) see
@@ -71,25 +72,10 @@ let validate_starts = function
   | Top_k k ->
     if k < 1 then invalid_arg "Dense_alloc: Top_k starts must be >= 1"
 
-(* Process-wide default for the start-pruning mode, mirroring
-   Domain_pool's RM_ALLOC_DOMAINS knob. An unparseable env value falls
-   back to exhaustive (never silently prunes). *)
-let default_starts_ref =
-  ref
-    (match Sys.getenv_opt "RM_ALLOC_STARTS" with
-    | Some s -> (match parse_starts s with Ok st -> st | Error _ -> All)
-    | None -> All)
-
-let default_starts () = !default_starts_ref
-
-let set_default_starts st =
-  validate_starts st;
-  default_starts_ref := st
-
 (* Below this many usable nodes the parallel sweep loses to the
    sequential one (pool hand-off + per-worker scratch dominate the
-   V=60 sweep: dense-par4 measured ~0.73x dense-warm), so [ndomains]
-   is ignored and the sweep runs sequentially. *)
+   V=60 sweep: a 4-domain sweep measured ~0.73x the sequential one),
+   so [ndomains] is ignored and the sweep runs sequentially. *)
 let par_v_threshold = 128
 
 let domains_for ~v ~requested =
@@ -97,13 +83,24 @@ let domains_for ~v ~requested =
     invalid_arg "Dense_alloc.scored_all: ndomains must be >= 1";
   if v < par_v_threshold then 1 else min requested v
 
+(* Starts per block a parallel sweep worker claims at a time: at
+   V=1024 a block is about 0.3 ms of work, small enough that a worker
+   whose core is taken away holds the sweep back by little, and large
+   enough that the shared counter is touched ~V/16 times per sweep. *)
+let sweep_block = 16
+
 (* Binary min-heap over dense indices ordered by (cost, id). Dense
    order is ascending node id, so comparing indices breaks cost ties
    exactly like the naive sort's (cost, node id) comparator. Float
    [<]/[=] are only total over finite values — a NaN cost would make
    both sides false and silently corrupt the heap order — which is why
-   [scored_all] rejects non-finite CL/NL at entry. *)
-let heap_less cost a b = cost.(a) < cost.(b) || (cost.(a) = cost.(b) && a < b)
+   [scored_all] rejects non-finite CL/NL at entry. The [float array]
+   annotation must stay: without it the comparison is polymorphic —
+   generic array reads that box each cost, and [caml_lessthan] — and a
+   V=1024 sweep allocates ~12M words, each minor collection stopping
+   every sweep worker. *)
+let heap_less (cost : float array) a b =
+  cost.(a) < cost.(b) || (cost.(a) = cost.(b) && a < b)
 
 let sift_down cost heap size i =
   let i = ref i in
@@ -172,10 +169,12 @@ let validate_nl ~ids ~nl =
   | Some m when m == nl -> ()
   | _ ->
     (* The NL diagonal is 0 by construction; scanning it too keeps the
-       loop branch-free. *)
+       loop branch-free. Rows are blitted so the scan boxes no float. *)
+    let row = Array.make v 0.0 in
     for i = 0 to v - 1 do
+      Matrix.read_row nl i row;
       for j = 0 to v - 1 do
-        if not (Float.is_finite (Matrix.get nl i j)) then
+        if not (Float.is_finite row.(j)) then
           invalid_arg
             (Printf.sprintf
                "Dense_alloc.scored_all: non-finite NL for pair (%d, %d)"
@@ -184,7 +183,7 @@ let validate_nl ~ids ~nl =
     done;
     Weak.set last_valid_nl 0 (Some nl)
 
-let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
+let scored_all ?ndomains ?(starts = All) ~loads ~net ~capacity ~request () =
   let ids = Compute_load.dense_ids loads in
   let v = Array.length ids in
   if v = 0 then invalid_arg "Dense_alloc.scored_all: no usable nodes";
@@ -204,7 +203,6 @@ let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
   let alpha = request.Request.alpha and beta = request.Request.beta in
   if not (Float.is_finite alpha && Float.is_finite beta) then
     invalid_arg "Dense_alloc.scored_all: non-finite alpha/beta";
-  let starts = match starts with Some s -> s | None -> default_starts () in
   validate_starts starts;
   (* Shared read-only inputs, hoisted out of the start loop (and built
      before any domain is involved — [capacity] may touch hashtables). *)
@@ -354,19 +352,20 @@ let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
     let nl = Network_load.nl_matrix net in
     validate_cl ~ids ~cl;
     validate_nl ~ids ~nl;
+    (* The row is blitted, not read with [Matrix.get], which boxes
+       every float it returns: V² boxes per sweep, and a minor
+       collection every few starts that stops every worker. *)
     let fill_costs cost s =
+      Matrix.read_row nl s cost;
       for i = 0 to v - 1 do
-        cost.(i) <- alpha_cl.(i) +. (beta *. Matrix.get nl s i)
+        cost.(i) <- alpha_cl.(i) +. (beta *. cost.(i))
       done
     in
     let pair_nl a b = Matrix.get nl a b in
     let nd =
-      let requested =
-        match ndomains with
-        | Some n -> n
-        | None -> Domain_pool.default_domains ()
-      in
-      domains_for ~v ~requested
+      domains_for ~v
+        ~requested:
+          (Option.value ndomains ~default:(Domain.recommended_domain_count ()))
     in
     let raw = Array.make v None in
     if nd = 1 then begin
@@ -376,28 +375,31 @@ let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
       done
     end
     else begin
-      (* Contiguous chunks keep each worker's NL row reads streaming and
-         make the output slots worker-disjoint. The pool silently clamps
-         oversized requests ([Domain_pool.max_workers]), so the chunk
-         size must come from the pool's actual worker count — chunking
-         over the requested [nd] would leave every start beyond
-         [size * chunk] uncomputed. *)
-      let pool = Domain_pool.get nd in
-      let nd = Domain_pool.size pool in
-      let chunk = (v + nd - 1) / nd in
-      Domain_pool.run pool (fun w ->
-          let lo = w * chunk in
-          let hi = min v (lo + chunk) in
-          if lo < hi then begin
-            let scratch = make_scratch v in
-            for s = lo to hi - 1 do
-              raw.(s) <- Some (one_start ~fill_costs ~pair_nl scratch s)
-            done
-          end)
+      (* Workers claim contiguous blocks of [sweep_block] starts from a
+         shared counter until none are left, instead of taking one
+         fixed 1/nd share each. On a host whose cores are shared with
+         other work, a worker that loses its core for a while leaves its
+         unclaimed blocks to the others, so the sweep waits on at most
+         one block rather than on the slowest share. Each start writes
+         only its own slot, so the output does not depend on which
+         worker ran which block. *)
+      let next = Atomic.make 0 in
+      Domain_pool.run (Domain_pool.get nd) (fun _ ->
+          let scratch = make_scratch v in
+          let rec claim () =
+            let lo = Atomic.fetch_and_add next sweep_block in
+            if lo < v then begin
+              for s = lo to min v (lo + sweep_block) - 1 do
+                raw.(s) <- Some (one_start ~fill_costs ~pair_nl scratch s)
+              done;
+              claim ()
+            end
+          in
+          claim ())
     end;
     finalize
       (Array.init v (fun s ->
            match raw.(s) with Some r -> r | None -> assert false))
 
-let best ?ndomains ?starts ~loads ~net ~capacity ~request () =
-  Select.best_scored (scored_all ?ndomains ?starts ~loads ~net ~capacity ~request ())
+let best ?starts ~loads ~net ~capacity ~request () =
+  Select.best_scored (scored_all ?starts ~loads ~net ~capacity ~request ())

@@ -13,9 +13,10 @@
 
     The V starts are independent (Algorithm 1 grows one candidate per
     start over read-only models), so they are additionally swept in
-    parallel across OCaml domains: contiguous chunks of starts run on a
-    reusable {!Domain_pool}, each worker with private scratch buffers,
-    and per-start results merge in ascending start order — output is
+    parallel across OCaml domains, one per host core: the workers of a
+    reusable {!Domain_pool} claim small blocks of starts from a shared
+    counter, each with private scratch buffers, and per-start results
+    merge in ascending start order — output is
     bit-identical for every domain count. Below {!par_v_threshold}
     usable nodes the sweep always runs sequentially (the pool hand-off
     costs more than the sweep itself at small V).
@@ -46,20 +47,11 @@ val starts_label : starts -> string
 (** ["all"] or the candidate count — stable, parseable by
     {!parse_starts}; used in bench baseline keys and CLI printers. *)
 
-val default_starts : unit -> starts
-(** Process-wide default start mode, initialized from the
-    [RM_ALLOC_STARTS] environment variable ([All] when unset or
-    unparseable) and overridable via {!set_default_starts} (the
-    [--starts] CLI knob). *)
-
-val set_default_starts : starts -> unit
-(** Raises [Invalid_argument] for [Top_k k] with [k < 1]. *)
-
 val par_v_threshold : int
 (** Usable-node count below which the start sweep ignores [ndomains]
     and runs sequentially — at small V the domain-pool hand-off costs
-    more than the whole sweep (dense-par4 measured slower than
-    dense-warm at V=60). *)
+    more than the whole sweep (a 4-domain sweep measured slower than
+    the sequential one at V=60). *)
 
 val domains_for : v:int -> requested:int -> int
 (** The worker count the exhaustive sweep will actually use for [v]
@@ -77,11 +69,12 @@ val scored_all :
   unit ->
   Select.scored list
 (** [loads] and [net] must come from the same snapshot (their usable
-    sets must coincide). [ndomains] defaults to
-    {!Domain_pool.default_domains} (the [RM_ALLOC_DOMAINS] /
-    [--domains] knob) and is capped at the number of usable nodes;
-    it only applies to the exhaustive path ({!domains_for}).
-    [starts] defaults to {!default_starts}; with [Top_k k < V] the
+    sets must coincide). [ndomains] defaults to the host's
+    [Domain.recommended_domain_count ()], is capped at the number of
+    usable nodes and at {!Domain_pool.max_workers}, and only applies
+    to the exhaustive path ({!domains_for}); output is bit-identical
+    for every value, so callers other than tests leave it unset.
+    [starts] defaults to [All]; with [Top_k k < V] the
     result lists only the [k] expanded candidates (still in ascending
     start-id order). Raises [Invalid_argument] when no node is usable,
     the models disagree, [ndomains < 1], [Top_k k < 1], the request's
@@ -90,7 +83,6 @@ val scored_all :
     and diverge from the naive compare-based sort). *)
 
 val best :
-  ?ndomains:int ->
   ?starts:starts ->
   loads:Compute_load.t ->
   net:Network_load.t ->

@@ -122,7 +122,7 @@ let run t f =
     | None, None -> ()
   end
 
-(* --- memoized pools + process-wide default ---------------------------- *)
+(* --- memoized pools ---------------------------------------------------- *)
 
 let pools : (int, t) Hashtbl.t = Hashtbl.create 4
 let pools_mutex = Mutex.create ()
@@ -150,18 +150,3 @@ let get workers =
   in
   Mutex.unlock pools_mutex;
   t
-
-(* RM_ALLOC_DOMAINS is the deployment/CI knob: `RM_ALLOC_DOMAINS=4 dune
-   runtest` exercises every dense allocation in the suite through the
-   4-domain path without touching call sites. *)
-let default =
-  ref
-    (match Sys.getenv_opt "RM_ALLOC_DOMAINS" with
-    | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> min n max_workers | _ -> 1)
-    | None -> 1)
-
-let default_domains () = !default
-
-let set_default_domains n =
-  if n < 1 then invalid_arg "Domain_pool.set_default_domains: need n >= 1";
-  default := min n max_workers

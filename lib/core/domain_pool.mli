@@ -13,8 +13,8 @@
 type t
 
 val max_workers : int
-(** Hard ceiling on pool parallelism; [get], [create] and
-    [set_default_domains] all clamp requests above it. Callers that
+(** Hard ceiling on pool parallelism; [get] and [create] clamp
+    requests above it. Callers that
     partition work by a requested domain count must re-read the actual
     count from {!size} (or compare against this ceiling) — the clamp is
     silent. *)
@@ -40,12 +40,3 @@ val shutdown : t -> unit
 val create : int -> t
 (** A private (non-memoized) pool; the caller owns its lifetime and
     must call {!shutdown} before the process exits. *)
-
-val default_domains : unit -> int
-(** Process-wide default parallelism for allocator sweeps, initialized
-    from the [RM_ALLOC_DOMAINS] environment variable (1 when unset or
-    invalid) — the CI matrix knob. *)
-
-val set_default_domains : int -> unit
-(** Override the default (e.g. from a [--domains] flag). Raises
-    [Invalid_argument] when [n < 1]. *)

@@ -19,7 +19,7 @@ type t = {
   mutable block_cache : (int array * int * float array) option;
 }
 
-let bw_complement_of ~peak ~avail =
+let[@inline] bw_complement_of ~peak ~avail =
   (* Available bandwidth can exceed nominal peak under measurement
      noise; the complement is clamped at 0 (no negative load). *)
   if Float.is_finite peak then Float.max 0.0 (peak -. Float.min peak avail)
@@ -33,12 +33,16 @@ let bw_complement_of ~peak ~avail =
    renormalization. *)
 let recompute_row_sums t =
   let k = Array.length t.ids in
+  let lat = Array.make (Matrix.cols t.lat) 0.0 in
+  let bw = Array.make (Matrix.cols t.bw_comp) 0.0 in
   for i = 0 to k - 1 do
+    Matrix.read_row t.lat i lat;
+    Matrix.read_row t.bw_comp i bw;
     let sl = ref 0.0 and sb = ref 0.0 in
     for j = 0 to k - 1 do
       if j <> i then begin
-        sl := !sl +. Matrix.get t.lat i j;
-        sb := !sb +. Matrix.get t.bw_comp i j
+        sl := !sl +. lat.(j);
+        sb := !sb +. bw.(j)
       end
     done;
     t.row_lat.(i) <- !sl;
@@ -58,16 +62,31 @@ let of_snapshot snapshot ~weights =
   let ids = Array.of_list usable in
   let lat = Matrix.square (max k 1) ~init:0.0 in
   let bw_comp = Matrix.square (max k 1) ~init:0.0 in
+  (* Whole rows go through buffers: a [Matrix.get]/[set] per pair boxes
+     a float each way, ~10 words per pair of minor-heap churn. *)
+  let row m = Array.make (Matrix.cols m) 0.0 in
+  let s_lat = row snapshot.Snapshot.lat_us
+  and s_peak = row snapshot.Snapshot.peak_bw_mb_s
+  and s_avail = row snapshot.Snapshot.bw_mb_s in
+  let r_lat = row lat and r_bw = row bw_comp in
   for i = 0 to k - 1 do
+    let u = ids.(i) in
+    Matrix.read_row snapshot.Snapshot.lat_us u s_lat;
+    Matrix.read_row snapshot.Snapshot.peak_bw_mb_s u s_peak;
+    Matrix.read_row snapshot.Snapshot.bw_mb_s u s_avail;
     for j = 0 to k - 1 do
-      if i <> j then begin
-        let u = ids.(i) and v = ids.(j) in
-        Matrix.set lat i j (Matrix.get snapshot.Snapshot.lat_us u v);
-        let peak = Matrix.get snapshot.Snapshot.peak_bw_mb_s u v in
-        let avail = Matrix.get snapshot.Snapshot.bw_mb_s u v in
-        Matrix.set bw_comp i j (bw_complement_of ~peak ~avail)
+      if i = j then begin
+        r_lat.(j) <- 0.0;
+        r_bw.(j) <- 0.0
       end
-    done
+      else begin
+        let v = ids.(j) in
+        r_lat.(j) <- s_lat.(v);
+        r_bw.(j) <- bw_complement_of ~peak:s_peak.(v) ~avail:s_avail.(v)
+      end
+    done;
+    Matrix.write_row lat i r_lat;
+    Matrix.write_row bw_comp i r_bw
   done;
   (* Scale commensurability: sum-normalizing CL over V nodes makes a CL
      entry ~1/V, while sum-normalizing NL over V(V-1) pairs makes an NL
@@ -97,8 +116,8 @@ let dense t node =
 let dense_index t ~node = dense t node
 
 (* The NL entry in factored form. [nl_matrix] materializes exactly this
-   expression, and [raw_get] below repeats it verbatim over captured
-   fields, so all three read paths are bit-equal. *)
+   expression over row buffers, and [raw_get] below repeats it verbatim
+   over captured fields, so all three read paths are bit-equal. *)
 let entry t i j =
   if i = j then 0.0
   else begin
@@ -114,12 +133,26 @@ let nl_matrix t =
   match t.nl with
   | Some m -> m
   | None ->
+    (* [entry]'s expression over row buffers, so that materializing
+       V² entries boxes no float. *)
     let k = Array.length t.ids in
     let m = Matrix.square (max k 1) ~init:0.0 in
+    let lat = Array.make (Matrix.cols t.lat) 0.0 in
+    let bw_comp = Array.make (Matrix.cols t.bw_comp) 0.0 in
+    let nl = Array.make (Matrix.cols m) 0.0 in
+    let w_lt = t.weights.Weights.w_lt and w_bw = t.weights.Weights.w_bw in
     for i = 0 to k - 1 do
+      Matrix.read_row t.lat i lat;
+      Matrix.read_row t.bw_comp i bw_comp;
       for j = 0 to k - 1 do
-        if i <> j then Matrix.set m i j (entry t i j)
-      done
+        if i = j then nl.(j) <- 0.0
+        else begin
+          let lt = if t.lat_sum > 0.0 then lat.(j) /. t.lat_sum else 0.0 in
+          let bw = if t.bw_sum > 0.0 then bw_comp.(j) /. t.bw_sum else 0.0 in
+          nl.(j) <- t.scale *. ((w_lt *. lt) +. (w_bw *. bw))
+        end
+      done;
+      Matrix.write_row m i nl
     done;
     t.nl <- Some m;
     m

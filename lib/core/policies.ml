@@ -26,30 +26,13 @@ let of_name = function
   | "hierarchical" -> Some Hierarchical
   | _ -> None
 
-type engine = Auto | Flat | Grouped
-
-(* Above this many usable nodes, [Auto] routes Network_load_aware
-   through the two-level Hierarchical.allocate: the flat sweep's
+(* Above this many usable nodes the network-and-load-aware policy
+   runs through the two-level Hierarchical.allocate: the flat sweep's
    O(V²) work per decision stops being interactive around a few
-   thousand nodes even pruned, while the grouped path stays O(G²) at
-   the top level. Overridable for tests/operators via the setter or
-   RM_ALLOC_HIER_THRESHOLD. *)
-let auto_hier_threshold =
-  ref
-    (match
-       Option.bind
-         (Sys.getenv_opt "RM_ALLOC_HIER_THRESHOLD")
-         int_of_string_opt
-     with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 2048)
-
-let auto_hierarchical_threshold () = !auto_hier_threshold
-
-let set_auto_hierarchical_threshold n =
-  if n < 1 then
-    invalid_arg "Policies.set_auto_hierarchical_threshold: must be >= 1";
-  auto_hier_threshold := n
+   thousand nodes (BENCH_allocator.json: 0.3 allocs/s flat vs 9.6
+   grouped at V=4096), while the grouped path stays O(G²) at the top
+   level. *)
+let hierarchical_threshold = 2048
 
 (* Fill an ordered node list with processes: each node takes up to its
    capacity; leftover demand is dealt round-robin (matching Algorithm 1's
@@ -152,10 +135,10 @@ let record_audit ~snapshot ~policy ~request ~loads ~pc ~scored ~chosen ~result
       decision;
     }
 
-let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
-    ~dense ~policy ~snapshot ~weights ~request ~rng () =
+let allocate_impl ?(stale_excluded = []) ?starts ~dense ~policy ~snapshot
+    ~weights ~request ~rng () =
   let instrumented = Telemetry.Runtime.is_enabled () in
-  let wall0 = if instrumented then Sys.time () else 0.0 in
+  let wall0 = if instrumented then Unix.gettimeofday () else 0.0 in
   let models = if dense then Some (Model_cache.get snapshot ~weights) else None in
   let loads =
     match models with
@@ -206,18 +189,14 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
         in
         (Ok (to_allocation ~policy (fill ~ordered ~capacity ~procs)), [], None)
       | Network_load_aware
-        when dense
-             && (match engine with
-                | Grouped -> true
-                | Flat -> false
-                | Auto -> List.length usable > !auto_hier_threshold) ->
+        when dense && List.length usable > hierarchical_threshold ->
         (* Large clusters route through the two-level allocator, under
            the requesting policy's label (the naive reference never
            reroutes, so equivalence properties compare like with
            like). No flat candidate sweep runs, so there is no scored
            table to audit. *)
-        ( Hierarchical.allocate ~dense ?ndomains ?starts
-            ~policy_label:(name policy) ~snapshot ~weights ~request (),
+        ( Hierarchical.allocate ~dense ?starts ~policy_label:(name policy)
+            ~snapshot ~weights ~request (),
           [],
           None )
       | Network_load_aware ->
@@ -228,8 +207,7 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
         in
         let scored =
           if dense then
-            Dense_alloc.scored_all ?ndomains ?starts ~loads ~net ~capacity
-              ~request ()
+            Dense_alloc.scored_all ?starts ~loads ~net ~capacity ~request ()
           else
             let candidates =
               Candidate.generate_all ~loads ~net ~capacity ~request
@@ -246,8 +224,7 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
           audit_scored,
           Some best.Select.candidate.Candidate.start )
       | Hierarchical ->
-        ( Hierarchical.allocate ~dense ?ndomains ?starts ~snapshot ~weights
-            ~request (),
+        ( Hierarchical.allocate ~dense ?starts ~snapshot ~weights ~request (),
           [],
           None )
     in
@@ -262,20 +239,18 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
       | Ok _ -> ());
       record_audit ~snapshot ~policy ~request ~loads ~pc ~scored ~chosen ~result
         ~stale_excluded;
-      Telemetry.Metrics.observe m_wall_s (Sys.time () -. wall0)
+      Telemetry.Metrics.observe m_wall_s (Unix.gettimeofday () -. wall0)
     end;
     result
   end
 
-let allocate_audited ?ndomains ?starts ?engine ~stale_excluded ~policy
-    ~snapshot ~weights ~request ~rng () =
-  allocate_impl ~stale_excluded ?ndomains ?starts ?engine ~dense:true ~policy
-    ~snapshot ~weights ~request ~rng ()
+let allocate_audited ?starts ~stale_excluded ~policy ~snapshot ~weights
+    ~request ~rng () =
+  allocate_impl ~stale_excluded ?starts ~dense:true ~policy ~snapshot ~weights
+    ~request ~rng ()
 
-let allocate ?ndomains ?starts ?engine ~policy ~snapshot ~weights ~request ~rng
-    () =
-  allocate_impl ?ndomains ?starts ?engine ~dense:true ~policy ~snapshot
-    ~weights ~request ~rng ()
+let allocate ?starts ~policy ~snapshot ~weights ~request ~rng () =
+  allocate_impl ?starts ~dense:true ~policy ~snapshot ~weights ~request ~rng ()
 
 let allocate_naive ~policy ~snapshot ~weights ~request ~rng =
   allocate_impl ~dense:false ~policy ~snapshot ~weights ~request ~rng ()

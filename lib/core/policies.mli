@@ -29,26 +29,14 @@ val all : policy list
 
 val of_name : string -> policy option
 
-type engine =
-  | Auto
-      (** flat below {!auto_hierarchical_threshold} usable nodes,
-          grouped above it *)
-  | Flat  (** always the flat (single-level) candidate sweep *)
-  | Grouped  (** always the two-level {!Hierarchical.allocate} *)
-
-val auto_hierarchical_threshold : unit -> int
-(** Usable-node count above which [Auto] routes the
-    network-and-load-aware policy through {!Hierarchical.allocate}
-    (default 2048; initial value overridable via the
-    [RM_ALLOC_HIER_THRESHOLD] environment variable). *)
-
-val set_auto_hierarchical_threshold : int -> unit
-(** Raises [Invalid_argument] below 1. *)
+val hierarchical_threshold : int
+(** 2048: usable-node count above which {!allocate} runs the
+    network-and-load-aware policy through {!Hierarchical.allocate},
+    under the ["network-load-aware"] label. At that size the flat
+    sweep's O(V²) work per decision stops being interactive. *)
 
 val allocate :
-  ?ndomains:int ->
   ?starts:Dense_alloc.starts ->
-  ?engine:engine ->
   policy:policy ->
   snapshot:Rm_monitor.Snapshot.t ->
   weights:Weights.t ->
@@ -64,24 +52,17 @@ val allocate :
     Models (Eq. 1/2/3) come from {!Model_cache} — repeated calls
     against the same snapshot and weights share one build — and the
     network-and-load-aware policy runs on the {!Dense_alloc} kernels,
-    sweeping its per-start candidate loop across [ndomains] OCaml
-    domains (default {!Domain_pool.default_domains}, the
-    [RM_ALLOC_DOMAINS] / [--domains] knob). Output is byte-identical
-    to {!allocate_naive} for every domain count.
+    sweeping its per-start candidate loop across one OCaml domain per
+    host core. Up to {!hierarchical_threshold} usable nodes the output
+    is byte-identical to {!allocate_naive} whatever the core count.
 
-    [starts] (default {!Dense_alloc.default_starts}, the
-    [RM_ALLOC_STARTS] / [--starts] knob) prunes the candidate-start
-    sweep; [engine] (default [Auto]) picks between the flat sweep and
-    the two-level allocator for the network-and-load-aware policy —
-    with [Auto], clusters above {!auto_hierarchical_threshold} usable
-    nodes route through {!Hierarchical.allocate} under the
-    ["network-load-aware"] policy label. Both knobs only affect the
-    network-and-load-aware and hierarchical policies. *)
+    [starts] (default [All]) prunes the candidate-start sweep of the
+    network-and-load-aware and hierarchical policies. Above
+    {!hierarchical_threshold} usable nodes the network-and-load-aware
+    policy routes through {!Hierarchical.allocate}. *)
 
 val allocate_audited :
-  ?ndomains:int ->
   ?starts:Dense_alloc.starts ->
-  ?engine:engine ->
   stale_excluded:int list ->
   policy:policy ->
   snapshot:Rm_monitor.Snapshot.t ->

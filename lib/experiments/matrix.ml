@@ -41,31 +41,17 @@ let family_of_name = function
   | "malleable" -> Some (Malleable_family Scenario.normal)
   | other -> Option.map (fun sc -> Background sc) (Scenario.by_name other)
 
-type engine = Naive | Dense | Dense_par of int | Hier | Auto
+type engine = Naive | Dense | Hier
 
 let engine_name = function
   | Naive -> "naive"
   | Dense -> "dense"
-  | Dense_par n -> Printf.sprintf "dense-par%d" n
   | Hier -> "hierarchical"
-  | Auto -> "auto"
-
-let dense_par_prefix = "dense-par"
 
 let engine_of_name = function
   | "naive" -> Some Naive
   | "dense" -> Some Dense
   | "hierarchical" -> Some Hier
-  | "auto" -> Some Auto
-  | s when String.starts_with ~prefix:dense_par_prefix s -> (
-    let rest =
-      String.sub s
-        (String.length dense_par_prefix)
-        (String.length s - String.length dense_par_prefix)
-    in
-    match int_of_string_opt rest with
-    | Some n when n >= 1 -> Some (Dense_par n)
-    | _ -> None)
   | _ -> None
 
 type budget = { alloc_budget_s : float; job_count : int }
@@ -109,38 +95,9 @@ let full_spec =
         "malleable";
       ];
     policies = [ "random"; "load-aware"; "network-load-aware" ];
-    engines = [ "naive"; "dense"; "dense-par4"; "hierarchical"; "auto" ];
+    engines = [ "naive"; "dense"; "hierarchical" ];
     budget = { alloc_budget_s = 0.5; job_count = 10 };
-    rules =
-      [
-        (* The engine axis only changes the network-load-aware code
-           path; other policies take the same path under every engine,
-           so sweeping them per engine is pure repetition. *)
-        {
-          on_scenario = None;
-          on_policy = Some "random";
-          on_engine = Some "dense-par4";
-          action = Skip "engine-invariant policy";
-        };
-        {
-          on_scenario = None;
-          on_policy = Some "random";
-          on_engine = Some "auto";
-          action = Skip "engine-invariant policy";
-        };
-        {
-          on_scenario = None;
-          on_policy = Some "load-aware";
-          on_engine = Some "dense-par4";
-          action = Skip "engine-invariant policy";
-        };
-        {
-          on_scenario = None;
-          on_policy = Some "load-aware";
-          on_engine = Some "auto";
-          action = Skip "engine-invariant policy";
-        };
-      ];
+    rules = [];
   }
 
 let validate_budget b =
@@ -430,16 +387,15 @@ let snapshot_of_family ~family ~seed =
 let allocate_with ~engine ~policy ~snapshot ~weights ~request ~rng =
   match engine with
   | Naive -> Policies.allocate_naive ~policy ~snapshot ~weights ~request ~rng
-  | Dense ->
-    Policies.allocate ~ndomains:1 ~engine:Policies.Flat ~policy ~snapshot
-      ~weights ~request ~rng ()
-  | Dense_par n ->
-    Policies.allocate ~ndomains:n ~engine:Policies.Flat ~policy ~snapshot
-      ~weights ~request ~rng ()
+  | Dense -> Policies.allocate ~policy ~snapshot ~weights ~request ~rng ()
   | Hier ->
-    Policies.allocate ~engine:Policies.Grouped ~policy ~snapshot ~weights
-      ~request ~rng ()
-  | Auto -> Policies.allocate ~policy ~snapshot ~weights ~request ~rng ()
+    (* The grouped allocator only replaces the network-load-aware
+       sweep; the other policies run as under [Dense]. *)
+    let policy =
+      if policy = Policies.Network_load_aware then Policies.Hierarchical
+      else policy
+    in
+    Policies.allocate ~policy ~snapshot ~weights ~request ~rng ()
 
 let rep_cap = 200_000
 

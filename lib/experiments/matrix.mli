@@ -52,14 +52,14 @@ val family_names : string list
 
 type engine =
   | Naive  (** {!Rm_core.Policies.allocate_naive}, the reference path *)
-  | Dense  (** the flat dense sweep, single domain *)
-  | Dense_par of int  (** flat dense sweep across N domains *)
-  | Hier  (** always the two-level {!Rm_core.Hierarchical} allocator *)
-  | Auto  (** threshold routing, the production default *)
+  | Dense  (** {!Rm_core.Policies.allocate}, the production path *)
+  | Hier
+      (** the two-level allocator: network-load-aware cells run
+          {!Rm_core.Policies.Hierarchical}, the others as [Dense] *)
 
 val engine_name : engine -> string
 val engine_of_name : string -> engine option
-(** [naive], [dense], [dense-parN] (N ≥ 1), [hierarchical], [auto]. *)
+(** [naive], [dense], [hierarchical]. *)
 
 type budget = {
   alloc_budget_s : float;
@@ -101,8 +101,8 @@ val quick_spec : spec
 
 val full_spec : spec
 (** The full sweep: 6 scenario families (adds diurnal and
-    trace-replay) × 3 policies × 5 engines (adds dense-par4 and auto),
-    with skip rules for redundant engine × policy combinations. *)
+    trace-replay) × the quick spec's 3 policies × 3 engines, with
+    larger budgets. *)
 
 val validate_spec : spec -> (unit, string) result
 (** Non-empty axes, resolvable names, sane budgets. {!run} calls this

@@ -526,7 +526,7 @@ and negotiate_grow t sim ~now mc running_malleable =
         }
     in
     (match
-       Policies.allocate ?starts:t.config.broker.Broker.starts
+       Policies.allocate ~starts:t.config.broker.Broker.starts
          ~policy:t.config.broker.Broker.policy ~snapshot
          ~weights:t.config.broker.Broker.weights ~request ~rng:t.rng ()
      with

@@ -651,7 +651,7 @@ let grow_allocation t ~snapshot ~alloc_id ~cur ~delta ~ppn ~alpha ~policy =
   let request = Request.make ?ppn ~alpha ~procs:delta () in
   let snapshot = Snapshot.restrict snapshot ~exclude:(Allocation.node_ids cur) in
   match
-    Policies.allocate ?starts:t.config.broker.Broker.starts ~policy ~snapshot
+    Policies.allocate ~starts:t.config.broker.Broker.starts ~policy ~snapshot
       ~weights:t.config.broker.Broker.weights ~request ~rng:t.rng ()
   with
   | Error e -> alloc_error_response e

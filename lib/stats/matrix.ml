@@ -18,6 +18,18 @@ let set t i j v = t.data.(index t i j) <- v
 let update t i j ~f = set t i j (f (get t i j))
 let fill t v = Array.fill t.data 0 (Array.length t.data) v
 let copy t = { t with data = Array.copy t.data }
+
+let check_row name t i buf =
+  if i < 0 || i >= t.rows || Array.length buf < t.cols then
+    invalid_arg ("Matrix." ^ name ^ ": row out of bounds or buffer too short")
+
+let read_row t i dst =
+  check_row "read_row" t i dst;
+  Array.blit t.data (i * t.cols) dst 0 t.cols
+
+let write_row t i src =
+  check_row "write_row" t i src;
+  Array.blit src 0 t.data (i * t.cols) t.cols
 let map t ~f = { t with data = Array.map f t.data }
 
 let iteri t ~f =

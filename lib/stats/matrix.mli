@@ -11,6 +11,16 @@ val set : t -> int -> int -> float -> unit
 val update : t -> int -> int -> f:(float -> float) -> unit
 val fill : t -> float -> unit
 val copy : t -> t
+
+val read_row : t -> int -> float array -> unit
+(** [read_row t i dst] copies row [i] into [dst.(0 .. cols t - 1)].
+    Unlike a loop of {!get}, it boxes no float, so hot loops that scan
+    whole rows allocate nothing. *)
+
+val write_row : t -> int -> float array -> unit
+(** [write_row t i src] copies [src.(0 .. cols t - 1)] into row [i];
+    the boxing-free counterpart of a loop of {!set}. *)
+
 val map : t -> f:(float -> float) -> t
 val iteri : t -> f:(row:int -> col:int -> float -> unit) -> unit
 

@@ -962,8 +962,8 @@ let prop_dense_parallel_bit_identical =
    starts over the *requested* count while Domain_pool.get silently
    clamped the actual worker count, so every start beyond
    [max_workers * chunk] was never computed and the merge died with
-   Assert_failure (reachable via `bench scale --domains 20` or any
-   Policies.allocate ~ndomains). Needs V > max_workers: smaller V
+   Assert_failure (reachable on any host with more cores than the
+   ceiling). Needs V > max_workers: smaller V
    clamps ndomains to V before the pool is involved — and now also
    V >= par_v_threshold, or the sequential fallback skips the pool. *)
 let test_dense_parallel_oversized_ndomains () =
@@ -1027,17 +1027,6 @@ let test_domain_pool_propagates_exceptions () =
   let total = Atomic.make 0 in
   Domain_pool.run pool (fun w -> ignore (Atomic.fetch_and_add total (w + 1)));
   Alcotest.(check int) "pool still works after a failure" 3 (Atomic.get total)
-
-let test_domain_pool_default_knob () =
-  let before = Domain_pool.default_domains () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.set_default_domains before)
-    (fun () ->
-      Domain_pool.set_default_domains 3;
-      Alcotest.(check int) "set/get" 3 (Domain_pool.default_domains ());
-      Alcotest.check_raises "rejects < 1"
-        (Invalid_argument "Domain_pool.set_default_domains: need n >= 1")
-        (fun () -> Domain_pool.set_default_domains 0))
 
 (* --- Model cache ------------------------------------------------------------- *)
 
@@ -1560,7 +1549,7 @@ let test_pruned_rejects_nonfinite_nl () =
       "message names the model" true
       (String.length msg >= 13 && String.sub msg 0 13 = "Dense_alloc.s")
 
-let test_starts_parse_and_default_knob () =
+let test_starts_parse_and_decide_config () =
   (match Dense_alloc.parse_starts "All" with
   | Ok Dense_alloc.All -> ()
   | _ -> Alcotest.fail {|"All" should parse (case-insensitive)|});
@@ -1577,57 +1566,92 @@ let test_starts_parse_and_default_knob () =
     (Dense_alloc.starts_label Dense_alloc.All);
   Alcotest.(check string) "label k" "8"
     (Dense_alloc.starts_label (Dense_alloc.Top_k 8));
-  let before = Dense_alloc.default_starts () in
-  Fun.protect
-    ~finally:(fun () -> Dense_alloc.set_default_starts before)
-    (fun () ->
-      Dense_alloc.set_default_starts (Dense_alloc.Top_k 2);
-      let snap = fixture [ (8, 1.0); (8, 2.0); (8, 0.5); (12, 3.0) ] in
-      let cl = Compute_load.of_snapshot snap ~weights in
-      let nl = Network_load.of_snapshot snap ~weights in
-      let request = Request.make ~ppn:4 ~procs:8 () in
-      let capacity = capacity_of snap request in
-      let scored =
-        Dense_alloc.scored_all ~loads:cl ~net:nl ~capacity ~request ()
-      in
-      Alcotest.(check int) "global default applies" 2 (List.length scored);
-      Alcotest.check_raises "rejects Top_k 0"
-        (Invalid_argument "Dense_alloc: Top_k starts must be >= 1")
-        (fun () -> Dense_alloc.set_default_starts (Dense_alloc.Top_k 0)))
+  let snap = fixture [ (8, 1.0); (8, 2.0); (8, 0.5); (12, 3.0) ] in
+  let request = Request.make ~ppn:4 ~procs:8 () in
+  let decide starts =
+    Broker.decide
+      ~config:{ Broker.default_config with Broker.starts }
+      ~snapshot:snap ~request ~rng:(Rng.create 1)
+  in
+  let audited =
+    Rm_telemetry.Runtime.with_enabled (fun () ->
+        Rm_telemetry.Audit.clear ();
+        (match decide (Dense_alloc.Top_k 2) with
+        | Ok (Broker.Allocated _) -> ()
+        | Ok (Broker.Wait _) | Error _ -> Alcotest.fail "decision failed");
+        Rm_telemetry.Audit.last ())
+  in
+  Rm_telemetry.Audit.clear ();
+  (match audited with
+  | Some r ->
+    Alcotest.(check int) "config starts applies" 2
+      (List.length r.Rm_telemetry.Audit.candidates)
+  | None -> Alcotest.fail "no audit record");
+  Alcotest.check_raises "rejects Top_k 0"
+    (Invalid_argument "Dense_alloc: Top_k starts must be >= 1")
+    (fun () -> ignore (decide (Dense_alloc.Top_k 0)))
 
-(* --- Engine routing (Policies.Auto → Hierarchical) ----------------------------- *)
+(* --- Routing above Policies.hierarchical_threshold ---------------------------- *)
 
-let test_policies_auto_routes_to_hierarchical () =
-  let rng = Rng.create 99 in
-  let snap = random_fixture rng in
+let test_policies_routes_to_hierarchical () =
+  Alcotest.(check int) "threshold" 2048 Policies.hierarchical_threshold;
+  let n = Policies.hierarchical_threshold + 1 in
+  (* Loads scattered across switches, so the flat sweep (the cheapest
+     nodes cluster-wide) and the grouped one (the cheapest switch)
+     pick different nodes. *)
+  let snap =
+    fixture
+      ~switches:(Array.init n (fun i -> i / 16))
+      (List.init n (fun i -> (8, float_of_int (i * 37 mod 101) /. 12.5)))
+  in
   let request = Request.make ~ppn:4 ~procs:10 () in
-  let before = Policies.auto_hierarchical_threshold () in
-  Fun.protect
-    ~finally:(fun () -> Policies.set_auto_hierarchical_threshold before)
-    (fun () ->
-      Policies.set_auto_hierarchical_threshold 1;
-      Model_cache.clear ();
-      let run engine =
-        Policies.allocate ~engine ~policy:Policies.Network_load_aware
-          ~snapshot:snap ~weights ~request ~rng:(Rng.create 1) ()
-      in
-      let auto = run Policies.Auto in
-      let grouped = run Policies.Grouped in
-      let flat = run Policies.Flat in
-      Alcotest.(check bool) "above the threshold Auto is Grouped" true
-        (auto = grouped);
-      (match auto with
-      | Ok a ->
-        Alcotest.(check string) "keeps the requesting policy's label"
-          "network-load-aware" a.Allocation.policy
-      | Error _ -> Alcotest.fail "auto allocation failed");
-      (match flat with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "flat allocation failed");
-      Alcotest.check_raises "threshold knob rejects < 1"
-        (Invalid_argument
-           "Policies.set_auto_hierarchical_threshold: must be >= 1")
-        (fun () -> Policies.set_auto_hierarchical_threshold 0))
+  Model_cache.clear ();
+  let routed =
+    Policies.allocate ~policy:Policies.Network_load_aware ~snapshot:snap
+      ~weights ~request ~rng:(Rng.create 1) ()
+  in
+  let grouped =
+    Rm_core.Hierarchical.allocate ~policy_label:"network-load-aware"
+      ~snapshot:snap ~weights ~request ()
+  in
+  Model_cache.clear ();
+  Alcotest.(check bool) "above the threshold is Hierarchical" true
+    (routed = grouped);
+  match routed with
+  | Ok a ->
+    Alcotest.(check string) "keeps the requesting policy's label"
+      "network-load-aware" a.Allocation.policy
+  | Error _ -> Alcotest.fail "allocation failed"
+
+(* core.allocate.wall_s is wall time: a sweep spread over several
+   domains must not report their summed CPU time. *)
+let test_policies_wall_s_is_wall_time () =
+  let n = 2 * Dense_alloc.par_v_threshold in
+  let snap = fixture (List.init n (fun i -> (8, float_of_int (i mod 5)))) in
+  let request = Request.make ~ppn:4 ~procs:24 () in
+  let allocate () =
+    ignore
+      (Policies.allocate ~policy:Policies.Network_load_aware ~snapshot:snap
+         ~weights ~request ~rng:(Rng.create 1) ())
+  in
+  (* Build the models first so the timed call is mostly the sweep. *)
+  allocate ();
+  let h = Rm_telemetry.Metrics.histogram "core.allocate.wall_s" in
+  let sum0 = Rm_telemetry.Metrics.value h
+  and count0 = Rm_telemetry.Metrics.count h in
+  let elapsed =
+    Rm_telemetry.Runtime.with_enabled (fun () ->
+        let t0 = Unix.gettimeofday () in
+        allocate ();
+        Unix.gettimeofday () -. t0)
+  in
+  Model_cache.clear ();
+  Rm_telemetry.Audit.clear ();
+  Alcotest.(check int) "one sample" (count0 + 1) (Rm_telemetry.Metrics.count h);
+  let sample = Rm_telemetry.Metrics.value h -. sum0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "sample %.6fs <= measured %.6fs" sample elapsed)
+    true (sample <= elapsed)
 
 let prop_compute_load_nonnegative =
   QCheck.Test.make ~name:"compute load is non-negative" ~count:100
@@ -1735,8 +1759,10 @@ let suites =
         Alcotest.test_case "hierarchical via policies" `Quick
           test_policy_hierarchical_via_policies;
         Alcotest.test_case "names roundtrip" `Quick test_policy_names_roundtrip;
-        Alcotest.test_case "auto engine routes to hierarchical" `Quick
-          test_policies_auto_routes_to_hierarchical;
+        Alcotest.test_case "routes to hierarchical above the threshold" `Quick
+          test_policies_routes_to_hierarchical;
+        Alcotest.test_case "wall_s is wall time" `Quick
+          test_policies_wall_s_is_wall_time;
         qcheck prop_nl_aware_covers_any_loads;
       ] );
     ( "core.dense_alloc",
@@ -1757,8 +1783,8 @@ let suites =
           test_pruned_never_materializes_nl;
         Alcotest.test_case "pruned path rejects non-finite NL" `Quick
           test_pruned_rejects_nonfinite_nl;
-        Alcotest.test_case "starts parse + default knob" `Quick
-          test_starts_parse_and_default_knob;
+        Alcotest.test_case "starts parse + decide with config starts" `Quick
+          test_starts_parse_and_decide_config;
       ] );
     ( "core.domain_pool",
       [
@@ -1766,7 +1792,6 @@ let suites =
           test_domain_pool_runs_every_worker;
         Alcotest.test_case "propagates exceptions" `Quick
           test_domain_pool_propagates_exceptions;
-        Alcotest.test_case "default knob" `Quick test_domain_pool_default_knob;
       ] );
     ( "core.model_cache",
       [

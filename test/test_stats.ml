@@ -302,6 +302,21 @@ let test_matrix_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Matrix: index out of bounds")
     (fun () -> ignore (Matrix.get m 2 0))
 
+let test_matrix_rows () =
+  let m = Matrix.create ~rows:2 ~cols:3 ~init:0.0 in
+  Matrix.write_row m 1 [| 1.0; 2.0; 3.0; 99.0 |];
+  check_float "write_row lands in its row" 2.0 (Matrix.get m 1 1);
+  check_float "other rows untouched" 0.0 (Matrix.get m 0 2);
+  let dst = Array.make 3 (-1.0) in
+  Matrix.read_row m 1 dst;
+  Alcotest.(check (array (float 0.0))) "read_row" [| 1.0; 2.0; 3.0 |] dst;
+  Alcotest.check_raises "row out of bounds"
+    (Invalid_argument "Matrix.read_row: row out of bounds or buffer too short")
+    (fun () -> Matrix.read_row m 2 dst);
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Matrix.write_row: row out of bounds or buffer too short")
+    (fun () -> Matrix.write_row m 0 [| 1.0 |])
+
 let test_matrix_off_diagonal_mean () =
   let m = Matrix.square 2 ~init:0.0 in
   Matrix.set m 0 1 4.0;
@@ -453,6 +468,7 @@ let suites =
       [
         Alcotest.test_case "get/set" `Quick test_matrix_get_set;
         Alcotest.test_case "bounds" `Quick test_matrix_bounds;
+        Alcotest.test_case "read/write rows" `Quick test_matrix_rows;
         Alcotest.test_case "off-diagonal mean" `Quick test_matrix_off_diagonal_mean;
         Alcotest.test_case "symmetrize" `Quick test_matrix_symmetrize;
         Alcotest.test_case "submatrix" `Quick test_matrix_submatrix;
