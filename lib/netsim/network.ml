@@ -42,9 +42,20 @@ let capacity_scale t ~link_id =
     invalid_arg "Network.capacity_scale: bad link id";
   t.scales.(link_id)
 
+(* Element-wise physical equality: the world rebuilds its flow list on
+   every tick from the same flow values, and only a birth, expiry,
+   registration or release changes which values it holds. *)
+let rec same_flows a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> x == y && same_flows a b
+  | _ -> false
+
 let set_flows t flows =
-  t.flows <- flows;
-  t.cache <- None
+  if not (same_flows t.flows flows) then begin
+    t.flows <- flows;
+    t.cache <- None
+  end
 
 let flows t = t.flows
 let flow_count t = List.length t.flows

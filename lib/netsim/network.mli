@@ -4,7 +4,7 @@
 
     All answers derive from a max-min fair allocation of the current
     flows over the topology's links ({!Fairshare}), recomputed lazily
-    when flows change. *)
+    when the flow set or a link capacity changes. *)
 
 type t
 
@@ -21,6 +21,11 @@ val capacity_scale : t -> link_id:int -> float
 (** Current degradation scale of the link (1.0 when healthy). *)
 
 val set_flows : t -> Flow.t list -> unit
+(** Replace the flow population. A list element-wise physically equal
+    ([==]) to the current one keeps the cached fair-share solution, so a
+    caller may push an unchanged population every tick for free; any
+    other list invalidates it. *)
+
 val flows : t -> Flow.t list
 val flow_count : t -> int
 

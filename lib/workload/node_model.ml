@@ -83,17 +83,19 @@ let diurnal_mu p ~now =
 
 let advance t ~now =
   if now < t.now then invalid_arg "Node_model.advance: time went backwards";
-  let dt = now -. t.now in
-  t.now <- now;
-  match t.source with
-  | Replay _ -> ()
-  | Stochastic s ->
-    let mu = diurnal_mu s.profile ~now in
-    ignore (Ou_process.step s.base_load ~dt ~mu ());
-    s.spike_level <- Spike_train.advance s.spikes ~now;
-    ignore (Ou_process.step s.util_base ~dt ());
-    ignore (Ou_process.step s.mem_used ~dt ());
-    ignore (Ou_process.step s.users_level ~dt ())
+  if now > t.now then begin
+    let from = t.now in
+    t.now <- now;
+    match t.source with
+    | Replay _ -> ()
+    | Stochastic s ->
+      Ou_process.catch_up s.base_load ~from ~until:now
+        ~mu_at:(fun at -> diurnal_mu s.profile ~now:at) ();
+      s.spike_level <- Spike_train.advance s.spikes ~now;
+      Ou_process.catch_up s.util_base ~from ~until:now ();
+      Ou_process.catch_up s.mem_used ~from ~until:now ();
+      Ou_process.catch_up s.users_level ~from ~until:now ()
+  end
 
 let cpu_load t =
   match t.source with

@@ -33,8 +33,20 @@ val create_replay : node:Rm_cluster.Node.t -> trace:Trace_replay.node_trace -> t
     (clamped to the node's physical limits where applicable). *)
 
 val node : t -> Rm_cluster.Node.t
+
+val diurnal_mu : profile -> now:float -> float
+(** The baseline load's mean at absolute time [now]: [load_mu] swung by
+    [diurnal_amplitude] over a day, floored at 0. *)
+
 val advance : t -> now:float -> unit
-(** Move ground truth to absolute time [now] (non-decreasing). *)
+(** Move ground truth to absolute time [now] (non-decreasing; a call at
+    the current time is a no-op). One call covers any gap: the four OU
+    processes take exact steps of at most a tenth of their time constant
+    ({!Ou_process.catch_up}), the baseline load against the diurnal mean
+    at each step's end, and the spike train replays every arrival up to
+    [now]. So a model read every few seconds takes one step per read,
+    whatever the tick rate of the caller, and its spike level is
+    bit-identical to one advanced at a finer tick. *)
 
 val cpu_load : t -> float
 (** Current load (runnable process count), >= 0, continuous. *)

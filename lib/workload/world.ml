@@ -108,11 +108,11 @@ let all_flows t =
 
 (* Lenient monotonic: callers on different clocks (monitor daemons on the
    sim, the MPI executor on its own critical path) may race slightly;
-   whoever is furthest ahead wins and earlier calls are no-ops. *)
+   whoever is furthest ahead wins and earlier calls are no-ops. Node
+   models are not stepped here: each catches up when it is read. *)
 let advance t ~now =
   if now > t.now then begin
     t.now <- now;
-    Array.iter (fun m -> Node_model.advance m ~now) t.models;
     let topo = Cluster.topology t.cluster in
     Flow_gen.advance t.flows ~now ~switch_of_node:(Topology.switch_of_node topo);
     Network.set_flows t.network (all_flows t)
@@ -134,21 +134,18 @@ let job_load_on t node =
         acc j.job_load)
     0.0 t.jobs
 
-let cpu_load t ~node =
+(* The node's model, brought up to the world clock: reads are what move
+   node models, so a tick costs nothing for nodes nobody looks at. *)
+let model t node =
   check_node t node;
-  Node_model.cpu_load t.models.(node) +. job_load_on t node
+  let m = t.models.(node) in
+  Node_model.advance m ~now:t.now;
+  m
 
-let cpu_util_pct t ~node =
-  check_node t node;
-  Node_model.cpu_util_pct t.models.(node)
-
-let mem_used_gb t ~node =
-  check_node t node;
-  Node_model.mem_used_gb t.models.(node)
-
-let users t ~node =
-  check_node t node;
-  Node_model.users t.models.(node)
+let cpu_load t ~node = Node_model.cpu_load (model t node) +. job_load_on t node
+let cpu_util_pct t ~node = Node_model.cpu_util_pct (model t node)
+let mem_used_gb t ~node = Node_model.mem_used_gb (model t node)
+let users t ~node = Node_model.users (model t node)
 
 let users_field t i = users t ~node:i
 

@@ -1,10 +1,22 @@
 (** The simulated shared cluster: ground truth for everything dynamic.
 
     Owns a {!Node_model} per node and a {!Flow_gen} population, pushes
-    the live flow set into a {!Rm_netsim.Network}, and advances them all
-    in virtual time — either explicitly with {!advance} or on a
+    the live flow set into a {!Rm_netsim.Network}, and advances them in
+    virtual time — either explicitly with {!advance} or on a
     {!Rm_engine.Sim} via {!attach}. The monitor daemons sample this
-    truth (with noise); the MPI executor consumes it directly. *)
+    truth (with noise); the MPI executor consumes it directly.
+
+    {b Reads mutate.} {!advance} moves the clock, the flow population and
+    the network's flow set only. Each node's model is brought up to the
+    world clock when one of its attributes is read ({!cpu_load},
+    {!cpu_util_pct}, {!mem_used_gb}, {!users}), in exact steps over the
+    whole gap since that node's last read ({!Node_model.advance}). A
+    tick therefore costs O(1) in the node count, and the node processes'
+    random draws depend on when each node is read, which is
+    deterministic in the seed under the simulation. A world is not safe
+    to read from two threads at once (brokerd reads it under its state
+    mutex). Spike levels, flows, NIC rates and bandwidths do not depend
+    on the read times. *)
 
 type t
 
@@ -37,14 +49,19 @@ val scenario_name : t -> string
 val now : t -> float
 
 val advance : t -> now:float -> unit
-(** Advance ground truth to absolute time [now]. Calls with [now] at or
-    before the current world time are no-ops, so callers on different
-    clocks (monitor sim vs. MPI executor) can interleave safely. *)
+(** Advance ground truth to absolute time [now]: the clock, the
+    background flows and the network's flow set (node models follow
+    lazily, on read). Calls with [now] at or before the current world
+    time are no-ops, so callers on different clocks (monitor sim vs. MPI
+    executor) can interleave safely. *)
 
 val attach : t -> sim:Rm_engine.Sim.t -> period:float -> until:float -> unit
 (** Schedule periodic {!advance} ticks on the simulation. *)
 
-(** {2 Ground-truth accessors (post-[advance])} *)
+(** {2 Ground-truth accessors (post-[advance])}
+
+    The node-attribute readers first advance that node's model to
+    {!now}; see the note on mutation above. *)
 
 val cpu_load : t -> node:int -> float
 val cpu_util_pct : t -> node:int -> float

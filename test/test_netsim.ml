@@ -217,6 +217,51 @@ let test_network_link_utilization () =
   check_float "access link half used" 0.5 (Network.link_utilization n ~link_id:0);
   check_float "other access idle" 0.0 (Network.link_utilization n ~link_id:1)
 
+(* The fair-share solution is kept across [set_flows] only while the
+   list holds the very same flow values; every other population, and
+   every capacity change, answers exactly as a freshly built network. *)
+let test_network_set_flows_cache () =
+  let n = network () in
+  let a = Flow.make ~id:0 ~src:0 ~dst:Flow.External ~demand_mb_s:infinity in
+  let b = Flow.make ~id:1 ~src:1 ~dst:(Flow.Node 3) ~demand_mb_s:40.0 in
+  let c = Flow.make ~id:2 ~src:2 ~dst:(Flow.Node 0) ~demand_mb_s:90.0 in
+  let answers n =
+    List.concat_map
+      (fun src ->
+        Network.nic_rate_mb_s n ~node:src
+        :: List.filter_map
+             (fun dst ->
+               if dst = src then None
+               else Some (Network.available_bandwidth_mb_s n ~src ~dst))
+             [ 0; 1; 2; 3 ])
+      [ 0; 1; 2; 3 ]
+  in
+  let fresh ?(scale = 1.0) flows =
+    let m = network () in
+    Network.set_capacity_scale m ~link_id:0 scale;
+    Network.set_flows m flows;
+    answers m
+  in
+  let check label ?scale flows =
+    Alcotest.(check (list (float 0.0))) label (fresh ?scale flows) (answers n)
+  in
+  Network.set_flows n [ a; b ];
+  check "initial" [ a; b ];
+  Network.set_flows n (List.map Fun.id [ a; b ]);
+  check "rebuilt list of the same flows" [ a; b ];
+  Network.set_flows n [ a ];
+  check "a flow dropped" [ a ];
+  Network.set_flows n [ a; c ];
+  check "a flow added" [ a; c ];
+  Network.set_flows n [ { c with Flow.demand_mb_s = 10.0 }; a ];
+  check "a flow replaced by an equal-id copy" [ { c with Flow.demand_mb_s = 10.0 }; a ];
+  Network.set_capacity_scale n ~link_id:0 0.25;
+  check "capacity change under the same flows" ~scale:0.25
+    [ { c with Flow.demand_mb_s = 10.0 }; a ];
+  Alcotest.(check bool) "the scale moved an answer" true
+    (fresh [ { c with Flow.demand_mb_s = 10.0 }; a ]
+    <> fresh ~scale:0.25 [ { c with Flow.demand_mb_s = 10.0 }; a ])
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* Random flow populations: fairness invariants always hold. *)
@@ -359,6 +404,8 @@ let suites =
         Alcotest.test_case "rates with extra" `Quick
           test_network_rates_with_extra_contend;
         Alcotest.test_case "link utilization" `Quick test_network_link_utilization;
+        Alcotest.test_case "set_flows keeps or drops the solution" `Quick
+          test_network_set_flows_cache;
         qcheck prop_probe_positive;
       ] );
   ]

@@ -142,6 +142,259 @@ let test_node_model_util_couples_to_load () =
   Alcotest.(check bool) "loaded util > idle util" true
     (Node_model.cpu_util_pct ml > Node_model.cpu_util_pct mi)
 
+(* --- Lazy node processes: distributional equivalence ----------------------- *)
+
+(* Node models were once stepped on every world tick, about 1/12 s apart
+   under the monitor daemons, with each exact OU step clamped into the
+   bounds. They are now stepped only when a node is read, once per ~6 s
+   daemon sample, and reflected at the bounds ({!Ou.catch_up}). Both are
+   sampled every 6 s here, over many independent seeds, and compared. *)
+
+let sample_every = 6.0
+let ticks_per_sample = 72
+
+(* The clamped step node models used to take, kept as the reference. *)
+let clamped_step rng ~x ~dt ~mu ~tau ~sigma ~lo ~hi =
+  let decay = exp (-.dt /. tau) in
+  let noise_scale = sigma *. sqrt (1.0 -. (decay *. decay)) in
+  let noise = Rng.gaussian rng ~mu:0.0 ~sigma:1.0 in
+  let v = mu +. ((x -. mu) *. decay) +. (noise_scale *. noise) in
+  Float.min hi (Float.max lo v)
+
+(* Distances between two sets of traces: mean gap in units of the
+   reference sd, relative gap of the sd and of the 6 s increment's sd,
+   absolute gaps of the lag-1 and lag-10 autocorrelations, and the
+   two-sample Kolmogorov–Smirnov statistic of the pooled samples. *)
+type distances = {
+  d_mean : float;
+  d_sd : float;
+  d_ac1 : float;
+  d_ac10 : float;
+  d_ks : float;
+  d_inc : float;
+}
+
+type ou_case = {
+  label : string;
+  mu : float;
+  tau : float;
+  sigma : float;
+  lo : float;
+  hi : float;
+  mu_at : (float -> float) option;
+  bounds : distances;
+}
+
+(* Three tau-lengths per trace, so every case has about as many
+   effectively independent samples. *)
+let samples_of c = int_of_float (3.0 *. c.tau /. sample_every)
+
+let clamped_trace c ~seed =
+  let rng = Rng.create seed in
+  let x = ref (Float.min c.hi (Float.max c.lo (Rng.gaussian rng ~mu:c.mu ~sigma:(c.sigma /. 2.0)))) in
+  let dt = sample_every /. float_of_int ticks_per_sample in
+  Array.init (samples_of c) (fun i ->
+      for k = 1 to ticks_per_sample do
+        let now = (float_of_int i *. sample_every) +. (float_of_int k *. dt) in
+        let mu = match c.mu_at with None -> c.mu | Some f -> f now in
+        x := clamped_step rng ~x:!x ~dt ~mu ~tau:c.tau ~sigma:c.sigma ~lo:c.lo ~hi:c.hi
+      done;
+      !x)
+
+let lazy_trace c ~seed =
+  let p =
+    Ou.create ~rng:(Rng.create seed) ~mu:c.mu ~tau:c.tau ~sigma:c.sigma ~lo:c.lo
+      ~hi:c.hi ()
+  in
+  Array.init (samples_of c) (fun i ->
+      let from = float_of_int i *. sample_every in
+      Ou.catch_up p ~from ~until:(from +. sample_every) ?mu_at:c.mu_at ();
+      Ou.value p)
+
+type summary = {
+  mean : float;
+  sd : float;
+  ac1 : float;
+  ac10 : float;
+  inc_sd : float;
+  sorted : float array;
+  at_bound : float;
+}
+
+let summarise c traces =
+  let all = Array.concat (Array.to_list traces) in
+  let mean = Rm_stats.Descriptive.mean all in
+  let sd = Rm_stats.Descriptive.stddev all in
+  let ac k =
+    let num = ref 0.0 and n = ref 0 in
+    Array.iter
+      (fun tr ->
+        for t = 0 to Array.length tr - 1 - k do
+          num := !num +. ((tr.(t) -. mean) *. (tr.(t + k) -. mean));
+          incr n
+        done)
+      traces;
+    !num /. float_of_int !n /. (sd *. sd)
+  in
+  let incs =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun tr -> Array.init (Array.length tr - 1) (fun t -> tr.(t + 1) -. tr.(t)))
+            traces))
+  in
+  let sorted = Array.copy all in
+  Array.sort Float.compare sorted;
+  let near = Array.fold_left (fun n x -> if x < c.lo +. 1e-3 then n + 1 else n) 0 all in
+  {
+    mean;
+    sd;
+    ac1 = ac 1;
+    ac10 = ac 10;
+    inc_sd = Rm_stats.Descriptive.stddev incs;
+    sorted;
+    at_bound = float_of_int near /. float_of_int (Array.length all);
+  }
+
+(* Largest gap between the two empirical CDFs; ties (the mass a clamp
+   puts on a bound) are stepped over together. *)
+let ks a b =
+  let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and j = ref 0 and d = ref 0.0 in
+  while !i < na && !j < nb do
+    let x = Float.min a.(!i) b.(!j) in
+    while !i < na && a.(!i) <= x do incr i done;
+    while !j < nb && b.(!j) <= x do incr j done;
+    d :=
+      Float.max !d
+        (Float.abs
+           ((float_of_int !i /. float_of_int na) -. (float_of_int !j /. float_of_int nb)))
+  done;
+  !d
+
+let distances a b =
+  {
+    d_mean = Float.abs (a.mean -. b.mean) /. a.sd;
+    d_sd = Float.abs ((b.sd /. a.sd) -. 1.0);
+    d_ac1 = Float.abs (a.ac1 -. b.ac1);
+    d_ac10 = Float.abs (a.ac10 -. b.ac10);
+    d_ks = ks a.sorted b.sorted;
+    d_inc = Float.abs ((b.inc_sd /. a.inc_sd) -. 1.0);
+  }
+
+(* The cases: a bare process at its lower bound, mid-range and high, then
+   the four processes of one Scenario.normal node, with the parameters
+   Node_model.create gives them (16 GB node). Every bound was fixed
+   before the lazy path was compared: it is the largest distance seen
+   between two independent clamped sets (40 seeds each, seed bases
+   1000·k for k = 1..40, paired as 20 splits), times 1.25, rounded up to
+   two significant figures. *)
+let ou_cases () =
+  let p = Scenario.normal.Scenario.sample_profile (Rng.create 1) (node ()) in
+  let mem_gb = 16.0 in
+  let bare label mu bounds =
+    { label; mu; tau = 600.0; sigma = 0.3; lo = 0.0; hi = infinity; mu_at = None; bounds }
+  in
+  let b d_mean d_sd d_ac1 d_ac10 d_ks d_inc = { d_mean; d_sd; d_ac1; d_ac10; d_ks; d_inc } in
+  [
+    bare "at bound (mu 0.05)" 0.05 (b 0.33 0.23 0.014 0.13 0.14 0.039);
+    bare "mid-range (mu 0.5)" 0.5 (b 0.38 0.18 0.0069 0.065 0.15 0.031);
+    bare "high (mu 4)" 4.0 (b 0.36 0.24 0.0093 0.085 0.16 0.029);
+    {
+      label = "normal: diurnal load";
+      mu = p.load_mu;
+      tau = p.load_tau;
+      sigma = p.load_sigma;
+      lo = 0.0;
+      hi = infinity;
+      mu_at = Some (fun now -> Node_model.diurnal_mu p ~now);
+      bounds = b 0.16 0.11 0.0005 0.0053 0.14 0.013;
+    };
+    {
+      label = "normal: util";
+      mu = p.util_base_pct;
+      tau = 1800.0;
+      sigma = p.util_sigma_pct;
+      lo = 0.0;
+      hi = 100.0;
+      mu_at = None;
+      bounds = b 0.37 0.14 0.0013 0.013 0.19 0.017;
+    };
+    {
+      label = "normal: mem";
+      mu = p.mem_used_frac_mu *. mem_gb;
+      tau = 3600.0;
+      sigma = 0.05 *. mem_gb;
+      lo = 0.05 *. mem_gb;
+      hi = 0.95 *. mem_gb;
+      mu_at = None;
+      bounds = b 0.31 0.19 0.001 0.009 0.15 0.0087;
+    };
+    {
+      label = "normal: users";
+      mu = p.users_mu;
+      tau = 2400.0;
+      sigma = 0.6 *. Float.max 0.5 p.users_mu;
+      lo = 0.0;
+      hi = infinity;
+      mu_at = None;
+      bounds = b 0.33 0.13 0.0013 0.013 0.19 0.014;
+    };
+  ]
+
+let test_lazy_ou_matches_clamped_ticks () =
+  let seeds = 40 in
+  List.iter
+    (fun c ->
+      let set trace base = Array.init seeds (fun i -> trace c ~seed:(base + i)) in
+      let eager = summarise c (set clamped_trace 1000) in
+      let lazy_ = summarise c (set lazy_trace 500_000) in
+      let d = distances eager lazy_ in
+      (* The mass at the bound is reported, not gated: it already differs
+         between tick rates of the clamped step itself. *)
+      Printf.printf
+        "%-22s mean %.4f sd %.4f ac1 %.4f ac10 %.4f ks %.4f inc %.4f | \
+         P(x < lo+1e-3) clamped %.4f lazy %.4f\n"
+        c.label d.d_mean d.d_sd d.d_ac1 d.d_ac10 d.d_ks d.d_inc eager.at_bound
+        lazy_.at_bound;
+      let gate name got bound =
+        if got > bound then
+          Alcotest.failf "%s: %s distance %.4f over its bound %.4f" c.label name got
+            bound
+      in
+      gate "mean" d.d_mean c.bounds.d_mean;
+      gate "sd" d.d_sd c.bounds.d_sd;
+      gate "lag-1 autocorrelation" d.d_ac1 c.bounds.d_ac1;
+      gate "lag-10 autocorrelation" d.d_ac10 c.bounds.d_ac10;
+      gate "KS" d.d_ks c.bounds.d_ks;
+      gate "increment sd" d.d_inc c.bounds.d_inc)
+    (ou_cases ())
+
+(* A gap of at most tau/10 is one exact step; a longer one is split into
+   equal steps against the mean at each step's end. *)
+let test_ou_catch_up_steps () =
+  let mk seed = Ou.create ~rng:(Rng.create seed) ~mu:1.0 ~tau:600.0 ~sigma:0.3 ~lo:0.0 () in
+  let a = mk 21 and b = mk 21 in
+  Ou.catch_up a ~from:0.0 ~until:6.0 ();
+  Alcotest.(check (float 0.0)) "a 6 s gap is one step" (Ou.step b ~dt:6.0 ()) (Ou.value a);
+  let mu_at s = 1.0 +. (s /. 1000.0) in
+  Ou.catch_up a ~from:6.0 ~until:246.0 ~mu_at ();
+  List.iter (fun s -> ignore (Ou.step b ~dt:60.0 ~mu:(mu_at s) ())) [ 66.0; 126.0; 186.0; 246.0 ];
+  Alcotest.(check (float 0.0)) "a 240 s gap is four 60 s steps" (Ou.value b) (Ou.value a);
+  Alcotest.check_raises "backwards" (Invalid_argument "Ou_process.catch_up: until < from")
+    (fun () -> Ou.catch_up a ~from:10.0 ~until:5.0 ())
+
+let test_ou_reflects () =
+  (* A step that lands below the bound comes back as far above it. *)
+  let p = Ou.create ~rng:(Rng.create 1) ~mu:(-10.0) ~tau:1.0 ~sigma:0.0 ~lo:0.0 ~init:0.0 () in
+  Alcotest.(check (float 1e-9)) "mirrored at lo" (10.0 *. (1.0 -. exp (-1.0)))
+    (Ou.step p ~dt:1.0 ());
+  let q = Ou.create ~rng:(Rng.create 1) ~mu:5.0 ~tau:1.0 ~sigma:0.0 ~lo:0.0 ~hi:1.0 ~init:1.0 () in
+  let v = Ou.step q ~dt:10.0 () in
+  (* mu + (1 - mu) e^-10 is about 4.9998: folded back into [0, 1]. *)
+  Alcotest.(check bool) "folded into [lo, hi]" true (v >= 0.0 && v <= 1.0);
+  Alcotest.(check (float 1e-9)) "double reflection" (5.0 -. (4.0 *. exp (-10.0)) -. 4.0) v
+
 (* --- Flow_gen ----------------------------------------------------------------- *)
 
 let test_flow_gen_population () =
@@ -305,6 +558,82 @@ let test_world_busy_loaded () =
   in
   Alcotest.(check bool) "busy >> quiet" true (mean > quiet_mean +. 0.5)
 
+(* Node reads are lazy, but nothing random outside the node models
+   depends on when the world is advanced: the flow population and the
+   fair-share answers at a time are bit-identical for any tick rate. *)
+let test_world_network_tick_independent () =
+  let mk () =
+    World.create ~cluster:(Cluster.iitk_reference ()) ~scenario:Scenario.busy
+      ~seed:91
+  in
+  let fine = mk () and coarse = mk () in
+  let nodes = Cluster.node_count (World.cluster fine) in
+  let snapshot w =
+    ( Rm_netsim.Network.flows (World.network w),
+      List.init nodes (fun node -> World.nic_rate_mb_s w ~node),
+      List.init 8 (fun i ->
+          Rm_netsim.Network.available_bandwidth_mb_s (World.network w)
+            ~src:(i * 7) ~dst:(((i * 7) + 13) mod nodes)) )
+  in
+  let changes = ref 0 and last = ref [] in
+  for j = 1 to 300 do
+    for i = (60 * (j - 1)) + 1 to 60 * j do
+      World.advance fine ~now:(float_of_int i /. 10.0)
+    done;
+    World.advance coarse ~now:(float_of_int j *. 6.0);
+    let flows, rates, bws = snapshot coarse in
+    let flows', rates', bws' = snapshot fine in
+    Alcotest.(check bool) "same flows" true (flows = flows');
+    Alcotest.(check (list (float 0.0))) "same NIC rates" rates rates';
+    Alcotest.(check (list (float 0.0))) "same bandwidths" bws bws';
+    if flows <> !last then incr changes;
+    last := flows
+  done;
+  Alcotest.(check bool) "the population turned over" true (!changes > 20)
+
+(* Registering or releasing a job and degrading a NIC drop the kept
+   fair-share solution: every answer equals a freshly solved network. *)
+let test_world_job_and_nic_invalidate () =
+  let w = World.create ~cluster:(small_cluster ()) ~scenario:Scenario.normal ~seed:8 in
+  World.advance w ~now:600.0;
+  let topo = Cluster.topology (World.cluster w) in
+  let answers net =
+    List.concat_map
+      (fun src ->
+        List.filter_map
+          (fun dst ->
+            if src = dst then None
+            else Some (Rm_netsim.Network.available_bandwidth_mb_s net ~src ~dst))
+          (List.init 6 Fun.id))
+      (List.init 6 Fun.id)
+  in
+  let fresh () =
+    let net = Rm_netsim.Network.create topo in
+    for node = 0 to 5 do
+      let link = Rm_cluster.Topology.access_link topo ~node in
+      Rm_netsim.Network.set_capacity_scale net ~link_id:link.Rm_cluster.Topology.link_id
+        (World.nic_scale w ~node)
+    done;
+    Rm_netsim.Network.set_flows net (Rm_netsim.Network.flows (World.network w));
+    answers net
+  in
+  let step label =
+    let before = answers (World.network w) in
+    fun () ->
+      let after = answers (World.network w) in
+      Alcotest.(check (list (float 0.0))) label (fresh ()) after;
+      Alcotest.(check bool) (label ^ " moved an answer") true (before <> after)
+  in
+  let check = step "register" in
+  let job = World.register_job w ~load:[ (0, 2.0) ] ~flows:[ (0, Flow.Node 4, 200.0) ] in
+  check ();
+  let check = step "nic scale" in
+  World.set_nic_scale w ~node:4 0.3;
+  check ();
+  let check = step "release" in
+  World.release_job w job;
+  check ()
+
 let suites =
   [
     ( "workload.ou",
@@ -314,6 +643,10 @@ let suites =
         Alcotest.test_case "zero dt" `Quick test_ou_zero_dt_no_change;
         Alcotest.test_case "mean override" `Quick test_ou_mean_override;
         Alcotest.test_case "stationary sd" `Quick test_ou_stationary_sd;
+        Alcotest.test_case "reflects at the bounds" `Quick test_ou_reflects;
+        Alcotest.test_case "catch-up steps" `Quick test_ou_catch_up_steps;
+        Alcotest.test_case "lazy matches clamped ticks in distribution" `Quick
+          test_lazy_ou_matches_clamped_ticks;
       ] );
     ( "workload.spikes",
       [
@@ -350,5 +683,9 @@ let suites =
         Alcotest.test_case "liveness" `Quick test_world_liveness;
         Alcotest.test_case "attach ticks" `Quick test_world_attach_ticks;
         Alcotest.test_case "busy vs quiet" `Quick test_world_busy_loaded;
+        Alcotest.test_case "network tick-rate independent" `Quick
+          test_world_network_tick_independent;
+        Alcotest.test_case "jobs and NIC scale invalidate" `Quick
+          test_world_job_and_nic_invalidate;
       ] );
   ]
