@@ -23,7 +23,12 @@ type t = {
   live : int list;
   nodes : node_info option array;
   bw_mb_s : Rm_stats.Matrix.t;  (** measured available bandwidth *)
-  peak_bw_mb_s : Rm_stats.Matrix.t;  (** path capacity (for Eq. 2's complement) *)
+  peak_bw_mb_s : Rm_stats.Matrix.t;
+      (** path capacity (for Eq. 2's complement). Read-only: {!capture}
+          and {!of_truth} build it once per cluster and every snapshot
+          of that cluster shares the one matrix, so callers must never
+          mutate it in place, even though [Matrix.set] and friends are
+          public. [bw_mb_s] and [lat_us] are per-snapshot copies. *)
   lat_us : Rm_stats.Matrix.t;
 }
 

@@ -31,39 +31,49 @@ let worst_pair ~placement ~view =
     in
     Some (lat, bw)
 
-let stage_time ~placement ~view ~bytes =
-  match worst_pair ~placement ~view with
+let stage_time_of worst ~bytes =
+  match worst with
   | None -> Cost_model.intra_node_time_s ~bytes
   | Some (lat, bw) ->
     Cost_model.message_time_s ~latency_us:lat ~bandwidth_mb_s:bw ~bytes
+
+let stage_time ~placement ~view ~bytes =
+  stage_time_of (worst_pair ~placement ~view) ~bytes
+
+(* The two allreduce formulas over an already-found worst pair, for
+   [p > 1] ranks. *)
+let recursive_doubling_s ~p ~worst ~bytes =
+  (* Each stage sends and receives the full [bytes]. *)
+  float_of_int (log2_ceil p) *. stage_time_of worst ~bytes *. 2.0
+
+let ring_s ~p ~worst ~bytes =
+  (* Reduce-scatter + allgather: 2(p-1) steps of bytes/p each. *)
+  let steps = 2 * (p - 1) in
+  let chunk = bytes /. float_of_int p in
+  float_of_int steps *. stage_time_of worst ~bytes:chunk
 
 let allreduce_recursive_doubling_s ~placement ~view ~bytes =
   if bytes < 0.0 then
     invalid_arg "Collectives.allreduce_recursive_doubling_s: negative bytes";
   let p = Placement.ranks placement in
   if p <= 1 then 0.0
-  else begin
-    let stages = log2_ceil p in
-    (* Each stage sends and receives the full [bytes]. *)
-    float_of_int stages *. stage_time ~placement ~view ~bytes *. 2.0
-  end
+  else recursive_doubling_s ~p ~worst:(worst_pair ~placement ~view) ~bytes
 
 let allreduce_ring_s ~placement ~view ~bytes =
   if bytes < 0.0 then invalid_arg "Collectives.allreduce_ring_s: negative bytes";
   let p = Placement.ranks placement in
-  if p <= 1 then 0.0
-  else begin
-    (* Reduce-scatter + allgather: 2(p-1) steps of bytes/p each. *)
-    let steps = 2 * (p - 1) in
-    let chunk = bytes /. float_of_int p in
-    float_of_int steps *. stage_time ~placement ~view ~bytes:chunk
-  end
+  if p <= 1 then 0.0 else ring_s ~p ~worst:(worst_pair ~placement ~view) ~bytes
 
+(* Both formulas see the same placement and view, so the O(nodes²) worst
+   pair is found once. *)
 let allreduce_time_s ~placement ~view ~bytes =
   if bytes < 0.0 then invalid_arg "Collectives.allreduce_time_s: negative bytes";
-  Float.min
-    (allreduce_recursive_doubling_s ~placement ~view ~bytes)
-    (allreduce_ring_s ~placement ~view ~bytes)
+  let p = Placement.ranks placement in
+  if p <= 1 then 0.0
+  else begin
+    let worst = worst_pair ~placement ~view in
+    Float.min (recursive_doubling_s ~p ~worst ~bytes) (ring_s ~p ~worst ~bytes)
+  end
 
 let barrier_time_s ~placement ~view =
   allreduce_time_s ~placement ~view ~bytes:8.0

@@ -1,9 +1,17 @@
 module Topology = Rm_cluster.Topology
 
+(* Everything a reading needs for one flow epoch: the fair-share
+   solution plus tables derived from it, so a latency or NIC reading is
+   a few array loads. [probes] memoizes [probe_rate] per ordered
+   (src, dst), filled on first use. The whole record is dropped when the
+   flow set or a capacity changes. *)
 type cache = {
   demands : Fairshare.demand array;
   rates : float array;
   loads : float array;  (** per link id *)
+  penalty_us : float array;  (** per link id: 25 · queueing_factor(ρ) *)
+  nic : float array;  (** per node: rates of the flows touching it *)
+  probes : (int, float) Hashtbl.t;  (** key src · node_count + dst *)
 }
 
 type t = {
@@ -63,59 +71,83 @@ let flow_count t = List.length t.flows
 let demand_of_flow t (f : Flow.t) : Fairshare.demand =
   { path = Routing.flow_path t.topology f; demand_mb_s = f.demand_mb_s }
 
-let cache t =
-  match t.cache with
-  | Some c -> c
-  | None ->
-    let demands = Array.of_list (List.map (demand_of_flow t) t.flows) in
-    let rates = Fairshare.compute ~capacities:t.capacities ~demands in
-    let loads = Fairshare.link_loads ~capacities:t.capacities ~demands ~rates in
-    let c = { demands; rates; loads } in
-    t.cache <- Some c;
-    c
-
-let available_bandwidth_mb_s t ~src ~dst =
-  if src = dst then infinity
-  else begin
-    let c = cache t in
-    let probe_path = Routing.p2p_path t.topology ~src ~dst in
-    Fairshare.probe_rate ~capacities:t.capacities ~demands:c.demands ~probe_path
-  end
-
-let link_utilization t ~link_id =
-  let c = cache t in
-  if link_id < 0 || link_id >= Array.length t.capacities then
-    invalid_arg "Network.link_utilization: bad link id";
-  Float.min 1.0 (c.loads.(link_id) /. t.capacities.(link_id))
-
 (* Queueing penalty per link: base per-link cost inflated by an M/M/1-ish
    rho/(1-rho) term, capped so a saturated GbE link adds at most ~10x. *)
 let queueing_factor rho =
   let rho = Float.min 0.95 (Float.max 0.0 rho) in
   rho /. (1.0 -. rho)
 
+let utilization ~capacities ~loads l = Float.min 1.0 (loads.(l) /. capacities.(l))
+
+let cache t =
+  match t.cache with
+  | Some c -> c
+  | None ->
+    let demands = Array.of_list (List.map (demand_of_flow t) t.flows) in
+    let capacities = t.capacities in
+    let rates = Fairshare.compute ~capacities ~demands in
+    let loads = Fairshare.link_loads ~capacities ~demands ~rates in
+    let penalty_us =
+      Array.init (Array.length capacities) (fun l ->
+          25.0 *. queueing_factor (utilization ~capacities ~loads l))
+    in
+    (* Each node's sum runs over the flows in list order, as a walk of
+       the flow list per node would add them. *)
+    let nic = Array.make (Topology.node_count t.topology) 0.0 in
+    List.iteri
+      (fun i (f : Flow.t) ->
+        nic.(f.src) <- nic.(f.src) +. rates.(i);
+        match f.dst with
+        | Flow.Node d -> nic.(d) <- nic.(d) +. rates.(i)
+        | Flow.External -> ())
+      t.flows;
+    let c = { demands; rates; loads; penalty_us; nic; probes = Hashtbl.create 64 } in
+    t.cache <- Some c;
+    c
+
+let probe t c ~src ~dst =
+  Fairshare.probe_rate ~capacities:t.capacities ~demands:c.demands
+    ~probe_path:(Routing.p2p_path t.topology ~src ~dst)
+
+let available_bandwidth_mb_s t ~src ~dst =
+  if src = dst then infinity
+  else begin
+    let c = cache t in
+    let n = Topology.node_count t.topology in
+    if src < 0 || src >= n || dst < 0 || dst >= n then probe t c ~src ~dst
+    else begin
+      let key = (src * n) + dst in
+      match Hashtbl.find c.probes key with
+      | rate -> rate
+      | exception Not_found ->
+        let rate = probe t c ~src ~dst in
+        Hashtbl.add c.probes key rate;
+        rate
+    end
+  end
+
+let link_utilization t ~link_id =
+  let c = cache t in
+  if link_id < 0 || link_id >= Array.length t.capacities then
+    invalid_arg "Network.link_utilization: bad link id";
+  utilization ~capacities:t.capacities ~loads:c.loads link_id
+
 let latency_us t ~src ~dst =
   if src = dst then 0.0
   else begin
+    let c = cache t in
     let base = Topology.base_latency_us t.topology src dst in
     let path = Routing.p2p_path t.topology ~src ~dst in
-    let extra =
-      Array.fold_left
-        (fun acc link_id ->
-          let rho = link_utilization t ~link_id in
-          acc +. (25.0 *. queueing_factor rho))
-        0.0 path
-    in
-    base +. extra
+    let extra = ref 0.0 in
+    for k = 0 to Array.length path - 1 do
+      extra := !extra +. c.penalty_us.(path.(k))
+    done;
+    base +. !extra
   end
 
 let nic_rate_mb_s t ~node =
   let c = cache t in
-  let acc = ref 0.0 in
-  List.iteri
-    (fun i f -> if Flow.touches_node f node then acc := !acc +. c.rates.(i))
-    t.flows;
-  !acc
+  if node < 0 || node >= Array.length c.nic then 0.0 else c.nic.(node)
 
 let rates_with_extra t ~extra =
   let c = cache t in

@@ -4,7 +4,11 @@
 
     All answers derive from a max-min fair allocation of the current
     flows over the topology's links ({!Fairshare}), recomputed lazily
-    when the flow set or a link capacity changes. *)
+    when the flow set or a link capacity changes. Within one such flow
+    epoch, latency and NIC readings are table lookups built with the
+    solution, and {!available_bandwidth_mb_s} is memoized per ordered
+    (src, dst); every answer is bit-identical to evaluating its formula
+    afresh. *)
 
 type t
 

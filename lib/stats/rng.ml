@@ -1,26 +1,39 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes, so advancing it
+   writes in place instead of boxing a fresh [int64]; the inlined
+   helpers keep every draw below free of intermediate boxes. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 state;
+  g
 
-let int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix64 g.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split g =
-  let seed = int64 g in
-  { state = seed }
+let[@inline] int64 g =
+  let state = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 state;
+  mix64 state
+
+let split g = of_state (int64 g)
 
 (* 53 random bits scaled into [0, 1). *)
-let float g =
+let[@inline] float g =
   let bits = Int64.shift_right_logical (int64 g) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+
+(* [max (float g) 1e-300] without boxing two floats for the polymorphic
+   [max]. *)
+let[@inline] positive_unit g =
+  let u = float g in
+  if u >= 1e-300 then u else 1e-300
 
 let uniform g ~lo ~hi =
   assert (lo <= hi);
@@ -37,19 +50,19 @@ let bernoulli g ~p = float g < p
 
 let gaussian g ~mu ~sigma =
   (* Box–Muller; guard against log 0. *)
-  let u1 = max (float g) 1e-300 in
+  let u1 = positive_unit g in
   let u2 = float g in
   let r = sqrt (-2.0 *. log u1) in
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
 
 let exponential g ~rate =
   assert (rate > 0.0);
-  let u = max (float g) 1e-300 in
+  let u = positive_unit g in
   -.log u /. rate
 
 let pareto g ~shape ~scale =
   assert (shape > 0.0 && scale > 0.0);
-  let u = max (float g) 1e-300 in
+  let u = positive_unit g in
   scale /. (u ** (1.0 /. shape))
 
 let shuffle g a =

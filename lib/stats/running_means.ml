@@ -2,7 +2,8 @@ type t = {
   w1 : Window.t;
   w5 : Window.t;
   w15 : Window.t;
-  mutable last : float option;
+  last : float array;  (* [| latest value |], unboxed *)
+  mutable pushed : bool;
 }
 
 type view = { instant : float; m1 : float; m5 : float; m15 : float }
@@ -11,7 +12,8 @@ let create_spans ~m1 ~m5 ~m15 =
   { w1 = Window.create ~span:m1;
     w5 = Window.create ~span:m5;
     w15 = Window.create ~span:m15;
-    last = None }
+    last = [| 0.0 |];
+    pushed = false }
 
 let create () = create_spans ~m1:60.0 ~m5:300.0 ~m15:900.0
 
@@ -19,12 +21,13 @@ let push t ~time ~value =
   Window.push t.w1 ~time ~value;
   Window.push t.w5 ~time ~value;
   Window.push t.w15 ~time ~value;
-  t.last <- Some value
+  t.last.(0) <- value;
+  t.pushed <- true
 
 let view t =
-  match t.last with
-  | None -> None
-  | Some instant ->
+  if not t.pushed then None
+  else begin
+    let instant = t.last.(0) in
     Some
       {
         instant;
@@ -32,6 +35,7 @@ let view t =
         m5 = Window.mean_default t.w5 ~default:instant;
         m15 = Window.mean_default t.w15 ~default:instant;
       }
+  end
 
 let view_default t ~default =
   match view t with

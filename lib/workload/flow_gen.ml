@@ -37,6 +37,7 @@ type t = {
   mutable next_arrival : float;
   mutable next_id : int;
   mutable live : live list;
+  mutable next_expiry : float;  (* earliest [expires] in [live] *)
   mutable last_now : float;
 }
 
@@ -50,7 +51,7 @@ let create ~rng ~node_count ~params =
     invalid_arg "Flow_gen.create: p_external out of range";
   let t =
     { rng; node_count; params; next_arrival = 0.0; next_id = 0; live = [];
-      last_now = 0.0 }
+      next_expiry = infinity; last_now = 0.0 }
   in
   t.next_arrival <- draw_gap t;
   t
@@ -103,16 +104,25 @@ let spawn t ~start ~switch_of_node =
   t.next_id <- t.next_id + 1;
   { flow; expires = start +. duration }
 
+let next_change t = Float.min t.next_arrival t.next_expiry
+
 let advance t ~now ~switch_of_node =
   if now < t.last_now then invalid_arg "Flow_gen.advance: time went backwards";
   t.last_now <- now;
   while t.next_arrival <= now do
     let start = t.next_arrival in
     let live = spawn t ~start ~switch_of_node in
-    if live.expires > now then t.live <- live :: t.live;
+    if live.expires > now then begin
+      t.live <- live :: t.live;
+      t.next_expiry <- Float.min t.next_expiry live.expires
+    end;
     t.next_arrival <- start +. draw_gap t
   done;
-  t.live <- List.filter (fun l -> l.expires > now) t.live
+  if t.next_expiry <= now then begin
+    t.live <- List.filter (fun l -> l.expires > now) t.live;
+    t.next_expiry <-
+      List.fold_left (fun acc l -> Float.min acc l.expires) infinity t.live
+  end
 
 let active_flows t = List.map (fun l -> l.flow) t.live
 let active_count t = List.length t.live

@@ -35,7 +35,13 @@ val create : rng:Rm_stats.Rng.t -> node_count:int -> params:params -> t
 
 val advance : t -> now:float -> switch_of_node:(int -> int) -> unit
 (** Process arrivals/expiries up to absolute time [now] (non-decreasing).
-    [switch_of_node] is needed for hotspot targeting. *)
+    [switch_of_node] is needed for hotspot targeting. Before
+    {!next_change} this only moves the clock. *)
+
+val next_change : t -> float
+(** Earliest time at which the live set can change: the next arrival or
+    the earliest expiry of a live flow. An [advance] to a time before it
+    leaves {!active_flows} as it is. *)
 
 val active_flows : t -> Rm_netsim.Flow.t list
 val active_count : t -> int

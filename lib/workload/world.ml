@@ -109,13 +109,17 @@ let all_flows t =
 (* Lenient monotonic: callers on different clocks (monitor daemons on the
    sim, the MPI executor on its own critical path) may race slightly;
    whoever is furthest ahead wins and earlier calls are no-ops. Node
-   models are not stepped here: each catches up when it is read. *)
+   models are not stepped here: each catches up when it is read. Until a
+   flow is born or expires, a tick only moves the clock, and the network
+   keeps its flow epoch. *)
 let advance t ~now =
   if now > t.now then begin
     t.now <- now;
-    let topo = Cluster.topology t.cluster in
-    Flow_gen.advance t.flows ~now ~switch_of_node:(Topology.switch_of_node topo);
-    Network.set_flows t.network (all_flows t)
+    if Flow_gen.next_change t.flows <= now then begin
+      let topo = Cluster.topology t.cluster in
+      Flow_gen.advance t.flows ~now ~switch_of_node:(Topology.switch_of_node topo);
+      Network.set_flows t.network (all_flows t)
+    end
   end
 
 let attach t ~sim ~period ~until =

@@ -53,7 +53,9 @@ val advance : t -> now:float -> unit
     background flows and the network's flow set (node models follow
     lazily, on read). Calls with [now] at or before the current world
     time are no-ops, so callers on different clocks (monitor sim vs. MPI
-    executor) can interleave safely. *)
+    executor) can interleave safely. Before the next flow birth or
+    expiry ({!Flow_gen.next_change}) only the clock moves, and the
+    network keeps its flow epoch. *)
 
 val attach : t -> sim:Rm_engine.Sim.t -> period:float -> until:float -> unit
 (** Schedule periodic {!advance} ticks on the simulation. *)

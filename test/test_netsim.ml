@@ -359,6 +359,187 @@ let prop_probe_positive =
       let bw = Network.available_bandwidth_mb_s n ~src:0 ~dst:3 in
       bw > 0.0)
 
+(* --- per-epoch tables ------------------------------------------------------ *)
+
+(* Two sites, three switches: same-switch, same-site and cross-site
+   paths all occur. *)
+let site_topo () =
+  Topology.create ~node_switch:[| 0; 0; 0; 1; 1; 2; 2; 2 |] ~switches:3
+    ~switch_site:[| 0; 0; 1 |] ()
+
+(* The per-call formulas the epoch tables replaced, over the network's
+   public state: a path list per call, the queueing term per link, a
+   walk of the flow list per NIC reading and a progressive filling per
+   probe. *)
+module Per_call = struct
+  let path topo ~src ~dst =
+    Array.of_list
+      (List.map (fun (l : Topology.link) -> l.link_id) (Topology.path topo src dst))
+
+  let base_latency_us topo u v =
+    if u = v then 0.0
+    else begin
+      let links = float_of_int (Topology.hops topo u v) in
+      let switches =
+        if Topology.same_switch topo u v then 1.0
+        else if Topology.same_site topo u v then 3.0
+        else 4.0
+      in
+      let wan =
+        if Topology.same_site topo u v then 0.0
+        else 2.0 *. 900.0 (* the topology's default WAN latency *)
+      in
+      (links *. 25.0) +. (switches *. 20.0) +. wan
+    end
+
+  let queueing_factor rho =
+    let rho = Float.min 0.95 (Float.max 0.0 rho) in
+    rho /. (1.0 -. rho)
+
+  let latency_us n ~src ~dst =
+    let topo = Network.topology n in
+    if src = dst then 0.0
+    else
+      base_latency_us topo src dst
+      +. Array.fold_left
+           (fun acc link_id ->
+             acc +. (25.0 *. queueing_factor (Network.link_utilization n ~link_id)))
+           0.0 (path topo ~src ~dst)
+
+  let capacities n =
+    let topo = Network.topology n in
+    Array.mapi
+      (fun link_id c -> c *. Network.capacity_scale n ~link_id)
+      (Routing.capacities topo)
+
+  let demands n =
+    let topo = Network.topology n in
+    Array.of_list
+      (List.map
+         (fun (f : Flow.t) ->
+           { Fairshare.path = Routing.flow_path topo f; demand_mb_s = f.demand_mb_s })
+         (Network.flows n))
+
+  let nic_rate_mb_s n ~node =
+    let rates = Fairshare.compute ~capacities:(capacities n) ~demands:(demands n) in
+    let acc = ref 0.0 in
+    List.iteri
+      (fun i f -> if Flow.touches_node f node then acc := !acc +. rates.(i))
+      (Network.flows n);
+    !acc
+
+  let available_bandwidth_mb_s n ~src ~dst =
+    if src = dst then infinity
+    else
+      Fairshare.probe_rate ~capacities:(capacities n) ~demands:(demands n)
+        ~probe_path:(path (Network.topology n) ~src ~dst)
+end
+
+let bits = List.map Int64.bits_of_float
+
+(* Every reading of a network, twice over so the second pass answers
+   from the memo, as raw float bits. *)
+let readings n =
+  let nodes = Topology.node_count (Network.topology n) in
+  let pass () =
+    List.concat
+      (List.init nodes (fun src ->
+           Network.nic_rate_mb_s n ~node:src
+           :: List.concat
+                (List.init nodes (fun dst ->
+                     [
+                       Network.latency_us n ~src ~dst;
+                       Network.available_bandwidth_mb_s n ~src ~dst;
+                     ]))))
+  in
+  let first = pass () in
+  let second = pass () in
+  Alcotest.(check (list int64)) "memo answers as the first reading" (bits first) (bits second);
+  first
+
+let flows_of_specs specs =
+  List.mapi
+    (fun i (s, d, dem) ->
+      let dst = if d = s || d >= 8 then Flow.External else Flow.Node d in
+      Flow.make ~id:i ~src:s ~dst ~demand_mb_s:dem)
+    specs
+
+let epoch_gen =
+  QCheck.Gen.(
+    triple
+      (list_size (0 -- 20) (triple (0 -- 7) (0 -- 9) (float_range 0.5 150.0)))
+      (0 -- 12) (float_range 0.05 1.0))
+
+(* On random flow sets and a degraded link, the tables answer exactly
+   what the per-call formulas compute. *)
+let prop_tables_match_per_call =
+  QCheck.Test.make ~name:"epoch tables = per-call formulas, bit for bit" ~count:150
+    (QCheck.make epoch_gen)
+    (fun (specs, link_id, scale) ->
+      let t = site_topo () in
+      let n = Network.create t in
+      Network.set_capacity_scale n ~link_id scale;
+      Network.set_flows n (flows_of_specs specs);
+      let ok = ref true in
+      for src = 0 to 7 do
+        if Network.nic_rate_mb_s n ~node:src <> Per_call.nic_rate_mb_s n ~node:src
+        then ok := false;
+        for dst = 0 to 7 do
+          if Routing.p2p_path t ~src ~dst <> Per_call.path t ~src ~dst then ok := false;
+          if Topology.base_latency_us t src dst <> Per_call.base_latency_us t src dst
+          then ok := false;
+          let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+          if not (same (Network.latency_us n ~src ~dst) (Per_call.latency_us n ~src ~dst))
+          then ok := false;
+          if not
+               (same
+                  (Network.available_bandwidth_mb_s n ~src ~dst)
+                  (Per_call.available_bandwidth_mb_s n ~src ~dst))
+          then ok := false
+        done
+      done;
+      !ok)
+
+(* The tables and the probe memo live for one flow epoch: after new
+   flows or a capacity change, every reading equals a freshly built
+   network's. *)
+let test_network_epoch_invalidation () =
+  let rng = Rm_stats.Rng.create 11 in
+  let random_flows k =
+    flows_of_specs
+      (List.init k (fun _ ->
+           ( Rm_stats.Rng.int rng 8,
+             Rm_stats.Rng.int rng 10,
+             Rm_stats.Rng.uniform rng ~lo:1.0 ~hi:120.0 )))
+  in
+  let n = Network.create (site_topo ()) in
+  let fresh ~scales flows =
+    let m = Network.create (site_topo ()) in
+    List.iter (fun (link_id, s) -> Network.set_capacity_scale m ~link_id s) scales;
+    Network.set_flows m flows;
+    readings m
+  in
+  let check label ~scales flows =
+    let before = readings n in
+    fun () ->
+      let after = readings n in
+      Alcotest.(check (list int64)) label (bits (fresh ~scales flows)) (bits after);
+      Alcotest.(check bool) (label ^ " moved a reading") true (before <> after)
+  in
+  let f1 = random_flows 12 in
+  Network.set_flows n f1;
+  let f2 = random_flows 9 in
+  let after = check "new flows" ~scales:[] f2 in
+  Network.set_flows n f2;
+  after ();
+  let after = check "capacity scale" ~scales:[ (3, 0.2) ] f2 in
+  Network.set_capacity_scale n ~link_id:3 0.2;
+  after ();
+  let after = check "capacity restored, flows changed" ~scales:[] f1 in
+  Network.set_capacity_scale n ~link_id:3 1.0;
+  Network.set_flows n f1;
+  after ()
+
 let suites =
   [
     ( "netsim.flow",
@@ -407,5 +588,8 @@ let suites =
         Alcotest.test_case "set_flows keeps or drops the solution" `Quick
           test_network_set_flows_cache;
         qcheck prop_probe_positive;
+        Alcotest.test_case "epoch tables dropped with the epoch" `Quick
+          test_network_epoch_invalidation;
+        qcheck prop_tables_match_per_call;
       ] );
   ]

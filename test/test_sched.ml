@@ -803,8 +803,109 @@ let test_slo_report () =
          let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
          go 0))
 
+(* --- substrate golden ------------------------------------------------------ *)
+
+(* The sched-sim benchmark's batch (perfbench/sched_sim.ml): the
+   queue-study mix on the reference world under Scenario.normal, placed
+   by the network-load-aware broker, drained in 60 vs slices. Its
+   outcome digest (names, nodes, start and finish as %h) and a digest of
+   the monitor snapshot at the end are pinned at two seeds, so a change
+   to the simulated substrate that is not bit-identical (a different
+   random draw, or the same arithmetic in another order) fails here. *)
+let golden_run ~seed =
+  let sim = Sim.create () in
+  let world =
+    World.create ~cluster:(Cluster.iitk_reference ()) ~scenario:Scenario.normal
+      ~seed
+  in
+  let rng = Rng.create (seed + 5) in
+  let horizon = 100_000.0 in
+  let monitor = System.start ~sim ~world ~rng ~until:horizon () in
+  let config =
+    {
+      Scheduler.default_config with
+      Scheduler.broker =
+        {
+          Broker.default_config with
+          Broker.policy = Rm_core.Policies.Network_load_aware;
+        };
+    }
+  in
+  let sched = Scheduler.create ~sim ~world ~monitor ~config ~rng ~horizon () in
+  let warm = System.warm_up_s System.default_cadence in
+  let ids =
+    List.map
+      (fun (name, kind, procs, at) ->
+        Scheduler.submit sched ~name ~at
+          ~request:(Request.make ~ppn:4 ~alpha:0.35 ~procs ())
+          ~app_of:(Rm_experiments.Queue_study.app_of_kind kind) ())
+      (Rm_experiments.Queue_study.job_mix ~job_count:10 ~warm)
+  in
+  let state id =
+    try Some (Scheduler.state sched id) with Invalid_argument _ -> None
+  in
+  let terminal id =
+    match state id with
+    | Some (Scheduler.Finished _ | Scheduler.Rejected _) -> true
+    | None | Some (Scheduler.Queued | Scheduler.Running _ | Scheduler.Failed _) ->
+      false
+  in
+  Sim.run_until sim (warm -. 1.0);
+  while (not (List.for_all terminal ids)) && Sim.now sim < horizon do
+    Sim.run_until sim (Sim.now sim +. 60.0)
+  done;
+  let describe id =
+    match state id with
+    | None -> "unsubmitted"
+    | Some (Scheduler.Finished o) ->
+      Printf.sprintf "%s:%h:%h:%s" o.Scheduler.name o.Scheduler.started_at
+        o.Scheduler.finished_at
+        (String.concat "," (List.map string_of_int o.Scheduler.nodes))
+    | Some (Scheduler.Rejected why) -> "rejected:" ^ why
+    | Some (Scheduler.Queued | Scheduler.Running _ | Scheduler.Failed _) ->
+      "unfinished"
+  in
+  let outcome =
+    Digest.to_hex (Digest.string (String.concat "|" (List.map describe ids)))
+  in
+  let snap = System.snapshot monitor ~time:(Sim.now sim) in
+  let b = Buffer.create 65536 in
+  let view (v : Rm_stats.Running_means.view) =
+    Printf.bprintf b "%h,%h,%h,%h;" v.instant v.m1 v.m5 v.m15
+  in
+  Printf.bprintf b "%h|%s|" snap.Snapshot.time
+    (String.concat "," (List.map string_of_int snap.Snapshot.live));
+  Array.iter
+    (function
+      | None -> Buffer.add_string b "-|"
+      | Some (i : Snapshot.node_info) ->
+        Printf.bprintf b "%d:%h:" i.users i.written_at;
+        List.iter view [ i.load; i.util_pct; i.nic_mb_s; i.mem_avail_gb ])
+    snap.Snapshot.nodes;
+  List.iter
+    (fun m ->
+      Rm_stats.Matrix.iteri m ~f:(fun ~row:_ ~col:_ x -> Printf.bprintf b "%h," x))
+    [ snap.Snapshot.bw_mb_s; snap.Snapshot.peak_bw_mb_s; snap.Snapshot.lat_us ];
+  (outcome, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The outcome digests are the ones the sched-sim workload computes for
+   its seeds 1 and 7920. A change meant to move the substrate's draws
+   re-pins both columns and says so in CHANGES.md. *)
+let test_substrate_golden () =
+  List.iter
+    (fun (seed, outcome, snapshot) ->
+      let o, s = golden_run ~seed in
+      Alcotest.(check string) (Printf.sprintf "outcome digest, seed %d" seed) outcome o;
+      Alcotest.(check string) (Printf.sprintf "snapshot digest, seed %d" seed) snapshot s)
+    [
+      (1, "6b0e41d48c84373f4732eb4258e6f1f5", "d88fb9a890cec57db2867f52147856f9");
+      (7920, "d30e46b598152f493e4f5ac3949339bb", "4255616df6cf6a511dcecb24d3e90a46");
+    ]
+
 let suites =
   [
+    ( "sched.golden",
+      [ Alcotest.test_case "substrate bit-identity" `Quick test_substrate_golden ] );
     ( "world.jobs",
       [
         Alcotest.test_case "overlay load" `Quick test_world_job_overlay_load;

@@ -731,12 +731,19 @@ let test_server_drains_before_stopping () =
   with_server @@ fun ~path ~server ->
   let n = 8 in
   let oks = Atomic.make 0 and shut = Atomic.make 0 and broken = Atomic.make 0 in
+  (* A client counts as connected once the server has answered it on
+     its connection: a connect the kernel queued but the accept loop
+     never took would be torn by the stop, which is not what this test
+     is about. The stop waits for all of them. *)
+  let connected = Atomic.make 0 in
   let threads =
     List.init n (fun _ ->
         Thread.create
           (fun () ->
             try
               let c = Client.connect (`Unix path) in
+              ignore (Client.status c);
+              Atomic.incr connected;
               for _ = 1 to 3 do
                 match Client.allocate c ~procs:4 ~ppn:2 with
                 | Wire.Allocated _ | Wire.Retry _ -> Atomic.incr oks
@@ -748,7 +755,13 @@ let test_server_drains_before_stopping () =
             with _ -> Atomic.incr broken)
           ())
   in
-  Thread.delay 0.02;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    Atomic.get connected + Atomic.get broken < n
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.001
+  done;
   Server.stop server;
   List.iter Thread.join threads;
   Alcotest.(check int) "no torn connections" 0 (Atomic.get broken);

@@ -402,6 +402,176 @@ let prop_shuffle_preserves_multiset =
       Rng.shuffle g a;
       List.sort compare (Array.to_list a) = List.sort compare xs)
 
+(* --- bit-identity and allocation of the monitor substrate ---------------- *)
+
+(* The queue-based window the ring buffer replaced, kept as the reference
+   for bit-identity: same additions and evictions, same order. *)
+module Queue_window = struct
+  type t = {
+    span : float;
+    samples : (float * float) Queue.t;
+    mutable sum : float;
+    mutable last_time : float;
+  }
+
+  let create ~span =
+    { span; samples = Queue.create (); sum = 0.0; last_time = neg_infinity }
+
+  let push t ~time ~value =
+    if time < t.last_time then invalid_arg "Window.push: time went backwards";
+    t.last_time <- time;
+    Queue.push (time, value) t.samples;
+    t.sum <- t.sum +. value;
+    let cutoff = time -. t.span in
+    let continue = ref true in
+    while !continue && not (Queue.is_empty t.samples) do
+      let time, value = Queue.peek t.samples in
+      if time <= cutoff then begin
+        ignore (Queue.pop t.samples);
+        t.sum <- t.sum -. value
+      end
+      else continue := false
+    done
+
+  let mean t =
+    let n = Queue.length t.samples in
+    if n = 0 then None else Some (t.sum /. float_of_int n)
+
+  let latest t = Queue.fold (fun _ x -> Some x) None t.samples
+
+  let clear t =
+    Queue.clear t.samples;
+    t.sum <- 0.0;
+    t.last_time <- neg_infinity
+end
+
+(* Steps are (gap, value) pushes or clears; gaps of 0 give ties, and a
+   small span with up to 200 samples forces the ring to wrap and grow. *)
+let prop_window_matches_queue =
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return `Clear);
+          ( 30,
+            map2
+              (fun gap v -> `Push (gap, v))
+              (oneof [ return 0.0; float_bound_inclusive 3.0 ])
+              (float_range (-1e3) 1e3) );
+        ])
+  in
+  QCheck.Test.make ~name:"ring window = queue window, bit for bit" ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair (float_range 0.5 20.0) (list_size (0 -- 200) step)))
+    (fun (span, steps) ->
+      let w = Window.create ~span and q = Queue_window.create ~span in
+      let t = ref 0.0 in
+      let same () =
+        let bits = Option.map Int64.bits_of_float in
+        Window.length w = Queue.length q.Queue_window.samples
+        && bits (Window.mean w) = bits (Queue_window.mean q)
+        && Window.latest w = Queue_window.latest q
+      in
+      List.for_all
+        (fun s ->
+          (match s with
+          | `Clear ->
+            Window.clear w;
+            Queue_window.clear q
+          | `Push (gap, value) ->
+            t := !t +. gap;
+            Window.push w ~time:!t ~value;
+            Queue_window.push q ~time:!t ~value);
+          same ())
+        steps)
+
+(* First draws of two seeds, recorded from the boxed-[int64] generator
+   the unboxed state replaced: the stream must not move. *)
+let test_rng_golden_stream () =
+  List.iter
+    (fun (seed, raw, floats, i, b, child, after) ->
+      let g = Rng.create seed in
+      let r1 = Rng.int64 g in
+      let r2 = Rng.int64 g in
+      let f = Rng.float g in
+      let ga = Rng.gaussian g ~mu:1.5 ~sigma:0.3 in
+      let u = Rng.uniform g ~lo:(-3.0) ~hi:3.0 in
+      let e = Rng.exponential g ~rate:0.09 in
+      let p = Rng.pareto g ~shape:1.3 ~scale:6.0 in
+      let n = Rng.int g 1000 in
+      let bo = Rng.bool g in
+      let c = Rng.split g in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check (list int64)) (name "int64") raw [ r1; r2 ];
+      Alcotest.(check (list int64)) (name "float draws, bit for bit")
+        (List.map Int64.bits_of_float floats)
+        (List.map Int64.bits_of_float [ f; ga; u; e; p ]);
+      Alcotest.(check int) (name "int") i n;
+      Alcotest.(check bool) (name "bool") b bo;
+      Alcotest.(check int64) (name "split child") child (Rng.int64 c);
+      Alcotest.(check int64) (name "parent after split") after (Rng.int64 g))
+    [
+      ( 1,
+        [ -4616330145664149646L; 6869446166584666695L ],
+        [ 0x1.c0cd7f0f6bcf6p-2; 0x1.86fbca157d534p+0; 0x1.2632f767ef898p-1;
+          0x1.17626518854dep+3; 0x1.5e2c38a4b95a5p+4 ],
+        669, false, 6324061867860415516L, -8603295654659979639L );
+      ( 7920,
+        [ -6422475049350426805L; -4489090673945943697L ],
+        [ 0x1.f95395e0648b1p-1; 0x1.8aa51084be31dp+0; 0x1.5680006490e18p-1;
+          0x1.3e2ca68beb978p+3; 0x1.924d790fc3c9bp+3 ],
+        467, false, 790496381780467405L, -1096208563863803192L );
+    ]
+
+(* Minor words per call over 10k steady-state calls. Arguments come
+   pre-boxed from an array of tuples, so only the callee's own
+   allocation is counted. A float returned across a module boundary is
+   boxed (2 words): without flambda, and with dune's default -opaque
+   build, nothing is inlined across modules. That box is the only
+   allocation [Rng.float] and [Rng.gaussian] may make. *)
+let minor_words_per_call f =
+  let calls = 10_000 in
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let boxed_float_words = 2.0
+
+let test_substrate_allocation () =
+  let n = 10_000 in
+  let samples =
+    Array.init (n + 1) (fun i -> (6.0 *. float_of_int i, float_of_int (i mod 7)))
+  in
+  let w = Window.create ~span:900.0 in
+  let rm = Running_means.create () in
+  (* Fill past the 15-minute horizon so the ring has reached its size. *)
+  Array.iter (fun (time, value) -> Window.push w ~time ~value) samples;
+  Array.iter (fun (time, value) -> Running_means.push rm ~time ~value) samples;
+  let later =
+    Array.map (fun (time, v) -> (time +. (6.0 *. float_of_int (n + 1)), v)) samples
+  in
+  let check name expected got =
+    Alcotest.(check (float 1e-3)) (name ^ ": minor words per call") expected got
+  in
+  check "Window.push" 0.0
+    (minor_words_per_call (fun i ->
+         let time, value = later.(i) in
+         Window.push w ~time ~value));
+  check "Running_means.push" 0.0
+    (minor_words_per_call (fun i ->
+         let time, value = later.(i) in
+         Running_means.push rm ~time ~value));
+  let g = Rng.create 5 in
+  let sink = ref 0.0 in
+  check "Rng.float" boxed_float_words
+    (minor_words_per_call (fun _ -> sink := Rng.float g));
+  check "Rng.gaussian" boxed_float_words
+    (minor_words_per_call (fun _ -> sink := Rng.gaussian g ~mu:0.0 ~sigma:1.0));
+  ignore !sink
+
 let suites =
   [
     ( "stats.rng",
@@ -419,6 +589,7 @@ let suites =
         Alcotest.test_case "sample without replacement" `Quick
           test_rng_sample_without_replacement;
         Alcotest.test_case "pareto positive" `Quick test_rng_pareto_positive;
+        Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
         qcheck prop_shuffle_preserves_multiset;
       ] );
     ( "stats.descriptive",
@@ -447,7 +618,10 @@ let suites =
         Alcotest.test_case "clear" `Quick test_window_clear;
         Alcotest.test_case "latest" `Quick test_window_latest;
         qcheck prop_window_mean_of_retained;
+        qcheck prop_window_matches_queue;
       ] );
+    ( "stats.allocation",
+      [ Alcotest.test_case "steady-state substrate calls" `Quick test_substrate_allocation ] );
     ( "stats.running_means",
       [
         Alcotest.test_case "fresh" `Quick test_running_means_fresh;

@@ -592,7 +592,9 @@ let test_world_network_tick_independent () =
   Alcotest.(check bool) "the population turned over" true (!changes > 20)
 
 (* Registering or releasing a job and degrading a NIC drop the kept
-   fair-share solution: every answer equals a freshly solved network. *)
+   fair-share solution with its per-epoch tables and probe memo: every
+   answer (bandwidth, latency, NIC rate) equals a freshly solved
+   network's. *)
 let test_world_job_and_nic_invalidate () =
   let w = World.create ~cluster:(small_cluster ()) ~scenario:Scenario.normal ~seed:8 in
   World.advance w ~now:600.0;
@@ -600,11 +602,16 @@ let test_world_job_and_nic_invalidate () =
   let answers net =
     List.concat_map
       (fun src ->
-        List.filter_map
-          (fun dst ->
-            if src = dst then None
-            else Some (Rm_netsim.Network.available_bandwidth_mb_s net ~src ~dst))
-          (List.init 6 Fun.id))
+        Rm_netsim.Network.nic_rate_mb_s net ~node:src
+        :: List.concat_map
+             (fun dst ->
+               if src = dst then []
+               else
+                 [
+                   Rm_netsim.Network.available_bandwidth_mb_s net ~src ~dst;
+                   Rm_netsim.Network.latency_us net ~src ~dst;
+                 ])
+             (List.init 6 Fun.id))
       (List.init 6 Fun.id)
   in
   let fresh () =
@@ -633,6 +640,23 @@ let test_world_job_and_nic_invalidate () =
   let check = step "release" in
   World.release_job w job;
   check ()
+
+(* Before [next_change] an advance leaves the very same live flows; at
+   it, a flow is born or expires. *)
+let test_flow_gen_next_change () =
+  let fg = Flow_gen.create ~rng:(Rng.create 15) ~node_count:12 ~params:Flow_gen.default in
+  let switch_of_node n = n / 4 in
+  let changed = ref 0 in
+  for _ = 1 to 200 do
+    let next = Flow_gen.next_change fg in
+    let before = Flow_gen.active_flows fg in
+    Flow_gen.advance fg ~now:(Float.pred next) ~switch_of_node;
+    Alcotest.(check bool) "nothing moves before next_change" true
+      (List.equal ( == ) before (Flow_gen.active_flows fg));
+    Flow_gen.advance fg ~now:next ~switch_of_node;
+    if not (List.equal ( == ) before (Flow_gen.active_flows fg)) then incr changed
+  done;
+  Alcotest.(check int) "every next_change changed the live set" 200 !changed
 
 let suites =
   [
@@ -666,6 +690,7 @@ let suites =
         Alcotest.test_case "population" `Quick test_flow_gen_population;
         Alcotest.test_case "hotspot bias" `Quick test_flow_gen_hotspot_bias;
         Alcotest.test_case "turnover" `Quick test_flow_gen_turnover;
+        Alcotest.test_case "next change" `Quick test_flow_gen_next_change;
       ] );
     ( "workload.scenario",
       [
